@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
 from .density import delta_index, hom_count, independence_number
 from .errors import DomainError
 from .graphs import (
@@ -258,14 +256,32 @@ def _isomorphic(g, h):
         return False
     if g.edges == h.edges:
         return True
-    return nx.is_isomorphic(_to_nx(g), _to_nx(h))
+    g_nbrs, h_nbrs = g.neighbor_sets(), h.neighbor_sets()
+    g_col, h_col = _colours(g_nbrs), _colours(h_nbrs)
+    if sorted(g_col) != sorted(h_col):
+        return False
+    image = []  # image[v]: the vertex of h that vertex v of g maps to
+
+    def extend(v):
+        if v == g.vertex_count:
+            return True
+        for w in range(h.vertex_count):
+            if w in image or h_col[w] != g_col[v]:
+                continue
+            if all((u in g_nbrs[v]) == (image[u] in h_nbrs[w]) for u in range(v)):
+                image.append(w)
+                if extend(v + 1):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0)
 
 
-def _to_nx(g):
-    gg = nx.Graph()
-    gg.add_nodes_from(range(g.vertex_count))
-    gg.add_edges_from(g.edges)
-    return gg
+def _colours(nbrs):
+    """A vertex's colour: its degree and the sorted degrees of its neighbours."""
+    deg = [len(n) for n in nbrs]
+    return [(deg[v], sorted(deg[u] for u in n)) for v, n in enumerate(nbrs)]
 
 
 def _exact(value, *tags):

@@ -91,7 +91,7 @@ def _cmd_certify(args):
 
 def _cmd_verify(args):
     if args.suite == "all":
-        reports = run_all_suites(args.trials, args.seed, jobs=args.jobs)
+        reports = run_all_suites(args.trials, args.seed)
     else:
         reports = [run_suite(args.suite, args.trials, args.seed)]
     if args.junit:
@@ -114,7 +114,7 @@ def _cmd_search(args):
         iterations=args.iterations,
         seed=args.seed,
     )
-    result = search_lower_bound(args.g, args.h, cfg, jobs=args.jobs)
+    result = search_lower_bound(args.g, args.h, cfg)
     if args.out:
         with open(args.out, "w") as fh:
             result.best_graphon.dump(fh)
@@ -165,7 +165,6 @@ def _build_parser():
     p.add_argument("--suite", default="all", choices=("all",) + tuple(sorted(SUITES)))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--junit", default=None, help="write JUnit XML to this path")
     p.set_defaults(fn=_cmd_verify)
 
@@ -176,7 +175,6 @@ def _build_parser():
     p.add_argument("--restarts", type=int, default=6)
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="dump the best graphon to this .graphon file")
     p.set_defaults(fn=_cmd_search)
     return parser

@@ -70,7 +70,8 @@ def _contract(g, vertex_factors, weights, out_vertices=(), cap=None):
                 f"cheap contraction order was found"
             )
     result = np.einsum(expr, *ops, optimize="greedy")
-    return result if out else float(result)
+    # item() keeps integer counts exact; object contractions may return a bare int
+    return result if out else np.asarray(result).item()
 
 
 def hom_count(g, target):
@@ -79,14 +80,19 @@ def hom_count(g, target):
         raise DomainError("hom_count target must be a Graph")
     if g.vertex_count == 0:
         return 1
-    if target.vertex_count == 0:
+    n = target.vertex_count
+    if n == 0:
         return 0
-    adj = target.adjacency()
-    ones = np.ones(target.vertex_count, dtype=np.int64)
-    result = _contract(g, [ones] * g.vertex_count, adj)
-    if isinstance(result, float):
-        result = int(round(result))
-    return int(result)
+    if n**g.vertex_count < 2**63:  # n**|V(g)| bounds every intermediate count
+        ones = np.ones(n, dtype=np.int64)
+        return _contract(g, [ones] * g.vertex_count, target.adjacency())
+    # Python integers.  numpy's optimized einsum multiplies two fully summed
+    # object operands as int64, which wraps, so no contraction may join two
+    # components: each is counted on its own.
+    ones = np.ones(n, dtype=object)
+    adj = target.adjacency().astype(object)
+    parts = (g.induced(c) for c in g.components())
+    return math.prod(_contract(p, [ones] * p.vertex_count, adj) for p in parts)
 
 
 def density(g, w):

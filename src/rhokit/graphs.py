@@ -87,21 +87,26 @@ class Graph:
             a[u, v] = a[v, u] = 1
         return a
 
-    def is_connected(self):
-        if self.vertex_count <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        adj = {v: set() for v in range(self.vertex_count)}
+    def neighbor_sets(self):
+        nbrs = [set() for _ in range(self.vertex_count)]
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        while stack:
-            u = stack.pop()
-            for w in adj[u] - seen:
-                seen.add(w)
-                stack.append(w)
-        return len(seen) == self.vertex_count
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return nbrs
+
+    def is_connected(self):
+        return len(self.components()) <= 1
+
+    def components(self):
+        """Connected components, as sorted vertex lists."""
+        return _components(self.neighbor_sets())
+
+    def induced(self, vertices):
+        """The subgraph induced on a vertex list, relabelled in list order."""
+        index = {v: i for i, v in enumerate(vertices)}
+        return Graph.from_edges(
+            len(index), ((index[u], index[v]) for u, v in self.edges if u in index and v in index)
+        )
 
     def relabel(self, perm):
         """Apply a vertex permutation (perm[v] = new label of v)."""
@@ -110,26 +115,26 @@ class Graph:
     def complement_components(self):
         """Connected components of the complement graph, as sorted vertex lists."""
         n = self.vertex_count
-        edge_set = self.edges
-        comp_adj = {
-            v: {u for u in range(n) if u != v and (min(u, v), max(u, v)) not in edge_set}
-            for v in range(n)
-        }
-        seen = set()
-        comps = []
-        for v in range(n):
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in comp_adj[u] - comp:
-                    comp.add(w)
-                    stack.append(w)
-            seen |= comp
-            comps.append(sorted(comp))
-        return comps
+        nbrs = self.neighbor_sets()
+        return _components([set(range(n)) - nbrs[v] - {v} for v in range(n)])
+
+
+def _components(nbrs):
+    seen = set()
+    comps = []
+    for v in range(len(nbrs)):
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def _ascend(g, h, w, cfg):
     return best
 
 
-def search_lower_bound(g_spec, h_spec, config=None, jobs=1):
+def search_lower_bound(g_spec, h_spec, config=None):
     """Multi-start gradient search for the best density log-ratio.
 
     Raises DiscrepancyError if the search ever certifies a ratio beyond the
@@ -202,18 +202,11 @@ def search_lower_bound(g_spec, h_spec, config=None, jobs=1):
             starts.append(sample_weighted_graph(profile, k, cfg.seed + 1000 * k + r))
         feasible_starts.extend(w0 for w0 in starts if _feasible(g, h, w0, cfg.margin))
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda w0: _ascend(g, h, w0, cfg), feasible_starts))
-    else:
-        outcomes = [_ascend(g, h, w0, cfg) for w0 in feasible_starts]
-
     best_ratio = -math.inf
     best_w = None
     tried = len(feasible_starts)
-    for ratio, w_best in outcomes:
+    for w0 in feasible_starts:
+        ratio, w_best = _ascend(g, h, w0, cfg)
         if ratio > best_ratio:
             best_ratio, best_w = ratio, w_best
     if best_w is None:

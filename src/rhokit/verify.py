@@ -526,14 +526,8 @@ def run_suite(suite, trials, seed):
     )
 
 
-def run_all_suites(trials, seed, jobs=1):
-    names = sorted(SUITES)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda s: run_suite(s, trials, seed), names))
-    return [run_suite(s, trials, seed) for s in names]
+def run_all_suites(trials, seed):
+    return [run_suite(s, trials, seed) for s in sorted(SUITES)]
 
 
 def reports_to_junit(reports):

@@ -1,5 +1,10 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +23,8 @@ from rhokit import (
     path,
     rho_exact,
 )
-from rhokit.catalog import RhoResult
+from rhokit.catalog import RhoResult, _isomorphic
+from rhokit.graphs import Graph
 
 
 class TestMajorization:
@@ -188,3 +194,42 @@ class TestCatalog:
         res = rho_exact("C4", "C6")
         assert res.status == "interval"
         assert res.upper is not None
+
+
+class TestIsomorphism:
+    def test_matches_networkx_on_atlas(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(0)
+        atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() <= 6]
+        pairs = 0
+        for i, a in enumerate(atlas):
+            for b in atlas[i:]:
+                if (a.number_of_nodes(), a.number_of_edges()) != (
+                    b.number_of_nodes(),
+                    b.number_of_edges(),
+                ):
+                    continue
+                pairs += 1
+                ga = Graph.from_edges(a.number_of_nodes(), a.edges())
+                gb = Graph.from_edges(b.number_of_nodes(), b.edges())
+                perm = list(range(gb.vertex_count))
+                rng.shuffle(perm)
+                expected = nx.is_isomorphic(a, b)
+                assert _isomorphic(ga, gb) == expected
+                assert _isomorphic(ga, gb.relabel(perm)) == expected
+        assert pairs > 1000
+
+    @pytest.mark.parametrize("g, h", [("C6", "2xC3"), ("C8", "2xC4")])
+    def test_regular_equal_degree_pairs(self, g, h):
+        a, b = parse_graph_spec(g), parse_graph_spec(h)
+        assert not _isomorphic(a, b) and not _isomorphic(b, a)
+        assert _isomorphic(a, a.relabel(list(reversed(range(a.vertex_count)))))
+
+    def test_import_leaves_networkx_out(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH="src")
+        code = "import sys, rhokit; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

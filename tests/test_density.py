@@ -61,6 +61,19 @@ class TestHomCount:
         g = Graph.from_edges(3, [(0, 1)])  # edge plus isolated vertex
         assert hom_count(g, complete(3)) == 6 * 3
 
+    def test_exact_beyond_float_precision(self):
+        assert 20 * 19**12 > 2**53
+        assert hom_count(path(12), complete(20)) == 20 * 19**12
+
+    def test_exact_beyond_int64(self):
+        assert 40 * 39**14 > 2**63
+        assert hom_count(path(14), complete(40)) == 40 * 39**14
+
+    def test_exact_beyond_int64_disconnected(self):
+        assert hom_count(Graph.from_edges(15, []), complete(40)) == 40**15
+        three_paths = Graph.from_edges(15, [(v, v + 1) for v in range(14) if v % 5 != 4])
+        assert hom_count(three_paths, complete(40)) == (40 * 39**4) ** 3
+
 
 class TestDensity:
     def test_against_oracle(self):

@@ -107,10 +107,10 @@ class TestSuites:
         assert j["passed"] is True
         assert j["min_residual"] is None
 
-    def test_run_all_parallel_matches_serial(self):
-        serial = [r.to_json() for r in run_all_suites(10, seed=3, jobs=1)]
-        parallel = [r.to_json() for r in run_all_suites(10, seed=3, jobs=4)]
-        assert serial == parallel
+    def test_run_all_matches_each_suite(self):
+        together = [r.to_json() for r in run_all_suites(10, seed=3)]
+        one_by_one = [run_suite(s, 10, seed=3).to_json() for s in sorted(SUITES)]
+        assert together == one_by_one
 
 
 class TestJunit:
