@@ -3,19 +3,22 @@
 The core evaluator contracts one tensor index per pattern vertex: each
 vertex contributes its block-mass vector, each edge contributes the block
 weight matrix.  numpy's einsum performs the vertex-elimination dynamic
-program; a configurable cap rejects contractions whose cheapest greedy
-order is still too large.  Density products can be re-evaluated in log
-space when the float64 result underflows (constructions drive densities
-toward 0).
+program along a greedy order, planned once per (pattern, block count, free
+vertices) and cached.  A configurable cap rejects a plan whose largest
+intermediate, or whose largest step joining three or more operands, has
+more index combinations than the cap.  Density products can be
+re-evaluated in log space when the float64 result underflows
+(constructions drive densities toward 0).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
-import re
 import string
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,43 @@ def enumeration_cap():
     return DEFAULT_ENUM_CAP
 
 
+class _Plan(NamedTuple):
+    expr: str
+    path: list  # np.einsum_path's greedy path, led by "einsum_path"
+    largest_intermediate: int
+    largest_join: int  # index space of the largest step joining >= 3 operands
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(g, k, out_vertices):
+    """Contraction plan of pattern g on k blocks with free out_vertices.
+
+    Greedy path search depends only on the expression and the operand
+    shapes, so the cached path is the one optimize="greedy" finds on every
+    call.  Replaying the path on each operand's index set sizes its steps.
+    When greedy finds no pair under its size limit it joins every operand
+    left in one step, whose index space the largest intermediate misses.
+    """
+    terms = [_LETTERS[v] for v in range(g.vertex_count)]
+    terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
+    out = "".join(_LETTERS[v] for v in out_vertices)
+    expr = ",".join(terms) + "->" + out
+    blanks = [np.empty(k)] * g.vertex_count + [np.empty((k, k))] * g.edge_count
+    path, _ = np.einsum_path(expr, *blanks, optimize="greedy")
+
+    sets = [set(t) for t in terms]
+    largest_intermediate = largest_join = 0
+    for step in path[1:]:
+        joined = [sets.pop(i) for i in sorted(step, reverse=True)]
+        idx = set().union(*joined)
+        kept = idx & set(out).union(*sets)
+        largest_intermediate = max(largest_intermediate, k ** len(kept))
+        if len(joined) >= 3:
+            largest_join = max(largest_join, k ** len(idx))
+        sets.append(kept)
+    return _Plan(expr, path, largest_intermediate, largest_join)
+
+
 def _contract(g, vertex_factors, weights, out_vertices=(), cap=None):
     """Contract the density tensor network of pattern g.
 
@@ -49,29 +89,17 @@ def _contract(g, vertex_factors, weights, out_vertices=(), cap=None):
         raise EnumerationCapError(f"patterns with more than {len(_LETTERS)} vertices unsupported")
     cap = cap if cap is not None else enumeration_cap()
     k = weights.shape[0]
-
-    subs = []
-    ops = []
-    for v in range(nv):
-        subs.append(_LETTERS[v])
-        ops.append(vertex_factors[v])
-    for u, v in sorted(g.edges):
-        subs.append(_LETTERS[u] + _LETTERS[v])
-        ops.append(weights)
-    out = "".join(_LETTERS[v] for v in out_vertices)
-    expr = ",".join(subs) + "->" + out
-
-    if float(k) ** nv > cap:
-        _, info = np.einsum_path(expr, *ops, optimize="greedy")
-        m = re.search(r"Largest intermediate:\s*([0-9.eE+]+)", info)
-        if m is None or float(m.group(1)) > cap:
-            raise EnumerationCapError(
-                f"{k}^{nv} maps exceed the enumeration cap {cap} and no "
-                f"cheap contraction order was found"
-            )
-    result = np.einsum(expr, *ops, optimize="greedy")
+    plan = _plan(g, k, tuple(out_vertices))
+    # every step's index space is at most k**nv, so small patterns always pass
+    if max(plan.largest_intermediate, plan.largest_join) > cap:
+        raise EnumerationCapError(
+            f"{k}^{nv} maps exceed the enumeration cap {cap} and no "
+            f"cheap contraction order was found"
+        )
+    ops = [*vertex_factors, *[weights] * g.edge_count]
+    result = np.einsum(plan.expr, *ops, optimize=plan.path)
     # item() keeps integer counts exact; object contractions may return a bare int
-    return result if out else np.asarray(result).item()
+    return result if out_vertices else np.asarray(result).item()
 
 
 def hom_count(g, target):

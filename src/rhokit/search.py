@@ -145,35 +145,43 @@ def _feasible(g, h, w, margin):
     return 0.0 < tg <= 1.0 - margin and density(h, w) > 0.0
 
 
+def _feasible_ratio(g, h, w, margin):
+    """log t(H,W) / log t(G,W), the float ratio_objective returns, or None
+    when W is infeasible; t(H,W) is skipped when t(G,W) is out of range."""
+    tg = density(g, w)
+    if not 0.0 < tg <= 1.0 - margin:
+        return None
+    th = density(h, w)
+    if th <= 0.0:
+        return None
+    return math.log(th) / math.log(tg)
+
+
 def _ascend(g, h, w, cfg):
     """Projected gradient ascent from one starting point; returns the best
-    (ratio, WeightedGraph) seen."""
-    masses = w.masses.copy()
-    weights = w.weights.copy()
-    best = (ratio_objective(g, h, WeightedGraph(masses, weights))[0], WeightedGraph(masses, weights))
+    (ratio, WeightedGraph) seen.  Each accepted step raises the ratio, so
+    the best point seen is the current one."""
+    cur = w
+    ratio = None
     for _ in range(cfg.iterations):
-        cur = WeightedGraph(masses, weights)
         ratio, dm, dw = ratio_objective(g, h, cur)
         scale = max(np.abs(dm).max(), np.abs(dw).max(), 1e-12)
         step = cfg.step0 / scale
-        improved = False
         for _ in range(25):
-            nm = _project_simplex(masses + step * dm, cfg.mass_floor)
-            nw = np.clip(weights + step * dw, 0.0, 1.0)
+            nm = _project_simplex(cur.masses + step * dm, cfg.mass_floor)
+            nw = np.clip(cur.weights + step * dw, 0.0, 1.0)
             nw = (nw + nw.T) / 2
             cand = WeightedGraph(nm, nw)
-            if _feasible(g, h, cand, cfg.margin):
-                new_ratio = ratio_objective(g, h, cand)[0]
-                if new_ratio > ratio + 1e-14:
-                    masses, weights = nm, nw
-                    if new_ratio > best[0]:
-                        best = (new_ratio, cand)
-                    improved = True
-                    break
+            new_ratio = _feasible_ratio(g, h, cand, cfg.margin)
+            if new_ratio is not None and new_ratio > ratio + 1e-14:
+                break
             step /= 2
-        if not improved:
+        else:  # no step size improved the ratio
             break
-    return best
+        cur, ratio = cand, new_ratio
+    if ratio is None:  # zero iterations
+        ratio = ratio_objective(g, h, cur)[0]
+    return ratio, cur
 
 
 def search_lower_bound(g_spec, h_spec, config=None):

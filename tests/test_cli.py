@@ -1,5 +1,9 @@
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -170,3 +174,13 @@ class TestUsage:
 
     def test_unknown_flag_exit_2(self, capsys):
         assert invoke(capsys, "rho", "P1", "P2", "--frobnicate")[0] == 2
+
+    def test_python_dash_m(self, capsys):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rhokit", "rho", "K3", "K2"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == invoke(capsys, "rho", "K3", "K2")[1]

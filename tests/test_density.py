@@ -1,4 +1,6 @@
 import math
+import string
+import time
 
 import numpy as np
 import pytest
@@ -16,18 +18,21 @@ from rhokit import (
     cycle_density_spectral,
     delta_index,
     density,
+    density_gradient,
     generalized_path_density,
     generalized_star_density,
     hom_count,
     independence_number,
     log_density,
     multipartite,
+    parse_graph_spec,
     path,
     path_density,
     sample_weighted_graph,
     spectrum,
     star,
 )
+from rhokit.density import _contract, _plan
 
 
 def graphons(count, seed, sizes=(2, 3, 4, 5)):
@@ -124,6 +129,92 @@ class TestDensity:
     def test_log_density_exact_zero(self):
         w = WeightedGraph([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])  # bipartite
         assert log_density(cycle(3), w) == -math.inf
+
+
+def greedy_einsum(g, factors, weights, out=()):
+    """Reference contraction: a fresh greedy path search on every call."""
+    letters = string.ascii_letters
+    terms = [letters[v] for v in range(g.vertex_count)]
+    terms += [letters[u] + letters[v] for u, v in sorted(g.edges)]
+    expr = ",".join(terms) + "->" + "".join(letters[v] for v in out)
+    ops = [*factors, *[weights] * g.edge_count]
+    return np.einsum(expr, *ops, optimize="greedy")
+
+
+PLAN_PATTERNS = ("P3", "C5", "K4", "S3", "paw", "K[2,3]", "2xK3", "Khub[1,1,1]")
+
+
+class TestPlanCache:
+    def test_repeat_is_cache_hit(self):
+        w = sample_weighted_graph("uniform", 3, 11)
+        g = cycle(7)
+        density(g, w)
+        before = _plan.cache_info()
+        density(g, w)
+        after = _plan.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
+
+    @pytest.mark.parametrize("spec", PLAN_PATTERNS)
+    def test_density_bit_identical_to_greedy(self, spec):
+        g = parse_graph_spec(spec)
+        for w in graphons(4, seed=61, sizes=(2, 3, 7)):
+            ref = float(greedy_einsum(g, [w.masses] * g.vertex_count, w.weights))
+            assert density(g, w) == ref
+            for out in ((0,), (1, 2), (2, 0)):
+                got = _contract(g, [w.masses] * g.vertex_count, w.weights, out_vertices=out)
+                exp = greedy_einsum(g, [w.masses] * g.vertex_count, w.weights, out)
+                assert got.shape == exp.shape and np.array_equal(got, exp)
+
+    @pytest.mark.parametrize("spec", PLAN_PATTERNS)
+    def test_gradient_bit_identical_to_greedy(self, spec):
+        g = parse_graph_spec(spec)
+        w = sample_weighted_graph("sparse", 3, 62)
+        k, mu = w.block_count, w.masses
+        ref_m = np.zeros(k)
+        for v in range(g.vertex_count):
+            factors = [mu] * g.vertex_count
+            factors[v] = np.ones(k)
+            ref_m += greedy_einsum(g, factors, w.weights, (v,))
+        ref_w = np.zeros((k, k))
+        for u, v in sorted(g.edges):
+            rest = Graph.from_edges(g.vertex_count, g.edges - {(u, v)})
+            ref_w += greedy_einsum(rest, [mu] * g.vertex_count, w.weights, (u, v))
+        ref_w = ref_w + ref_w.T - np.diag(np.diag(ref_w))
+        gm, gw = density_gradient(g, w)
+        assert np.array_equal(gm, ref_m) and np.array_equal(gw, ref_w)
+
+    def test_hom_count_bit_identical_to_greedy(self):
+        for spec in PLAN_PATTERNS:
+            g = parse_graph_spec(spec)
+            for n in (3, 5, 8):
+                t = complete(n)
+                ones = np.ones(n, dtype=np.int64)
+                ref = int(greedy_einsum(g, [ones] * g.vertex_count, t.adjacency()))
+                assert hom_count(g, t) == ref
+        # object dtype past 2**63, one connected component at a time
+        g, t = path(14), complete(40)
+        ones = np.ones(40, dtype=object)
+        ref = greedy_einsum(g, [ones] * 15, t.adjacency().astype(object))
+        assert hom_count(g, t) == ref == 40 * 39**14
+
+    def test_cap_read_on_every_call(self, monkeypatch):
+        w = sample_weighted_graph("uniform", 5, 1)
+        g = complete(9)
+        assert density(g, w) >= 0  # plan cached under the default cap
+        monkeypatch.setenv("RHOKIT_ENUM_CAP", "10")
+        with pytest.raises(EnumerationCapError):
+            density(g, w)
+        monkeypatch.delenv("RHOKIT_ENUM_CAP")
+        assert density(g, w) >= 0
+
+    def test_cap_bounds_multi_operand_step(self):
+        # greedy finds no pair under its size limit and would join all 8
+        # indices in one step: 40**8 index combinations
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError):
+            hom_count(parse_graph_spec("2xK4"), complete(40))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSpectral:

@@ -15,7 +15,7 @@ from rhokit import (
     sample_weighted_graph,
     search_lower_bound,
 )
-from rhokit.search import _project_simplex
+from rhokit.search import _feasible, _feasible_ratio, _project_simplex
 
 H = 1e-6
 
@@ -90,6 +90,30 @@ class TestRatioObjective:
         wz = WeightedGraph([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(DomainError):
             ratio_objective(g, h, wz)  # t(C3) = 0 on a bipartite graphon
+
+
+class TestLineSearchRatio:
+    def test_ratio_only_where_feasible(self):
+        margin = SearchConfig().margin
+        profiles = ("uniform", "sparse", "bipartiteish", "threshold", "near_construction")
+        graphons = [sample_weighted_graph(profiles[i % 5], 2 + i % 3, 70 + i) for i in range(15)]
+        graphons += [
+            WeightedGraph.constant(1.0),  # t(G,W) = 1
+            WeightedGraph([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]),  # bipartite
+        ]
+        pairs = [("C3", "C4"), ("P5", "P3"), ("K3", "K2"), ("K2", "K3"), ("C4", "C3")]
+        seen = set()
+        for gs, hs in pairs:
+            g, h = parse_graph_spec(gs), parse_graph_spec(hs)
+            for w in graphons:
+                feasible = _feasible(g, h, w, margin)
+                r = _feasible_ratio(g, h, w, margin)
+                if feasible:
+                    assert r == ratio_objective(g, h, w)[0]
+                else:
+                    assert r is None
+                seen.add(feasible)
+        assert seen == {True, False}
 
 
 class TestProjection:
