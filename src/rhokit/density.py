@@ -4,9 +4,13 @@ The core evaluator contracts one tensor index per pattern vertex: each
 vertex contributes its block-mass vector, each edge contributes the block
 weight matrix.  numpy's einsum performs the vertex-elimination dynamic
 program along a greedy order, planned once per (pattern, block count, free
-vertices) and cached.  A configurable cap rejects a plan whose largest
-intermediate, or whose largest step joining three or more operands, has
-more index combinations than the cap.  Density products can be
+vertices) and cached.  Where greedy gives up and would join the remaining
+operands over 2**20 or more index combinations in one step, the plan
+slices one vertex instead (as in tensor-network slicing): it loops over
+that vertex's blocks and contracts the rest of the pattern per block.  A
+configurable cap rejects a plan whose size -- its largest intermediate or
+largest step joining three or more operands, times the block count for
+each sliced vertex -- exceeds the cap.  Density products can be
 re-evaluated in log space when the float64 result underflows
 (constructions drive densities toward 0).
 """
@@ -22,11 +26,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EnumerationCapError
+from .errors import DiscrepancyError, DomainError, EnumerationCapError
 from .graphs import Graph, WeightedGraph, path
 
 DEFAULT_ENUM_CAP = 10**8
+# a give-up join this large is sliced; smaller ones keep numpy's greedy path
+_SLICE_AT = 2**20
 _LOGSPACE_BRUTE_CAP = 10**6
+_CLAMP_TOL = 1e-12  # float noise past [0, 1] that density clamps; beyond it raises
 _LETTERS = string.ascii_letters
 
 
@@ -41,8 +48,15 @@ def enumeration_cap():
 class _Plan(NamedTuple):
     expr: str
     path: list  # np.einsum_path's greedy path, led by "einsum_path"
-    largest_intermediate: int
-    largest_join: int  # index space of the largest step joining >= 3 operands
+    edge_count: int
+    size: int  # index space of the largest intermediate or multi-operand join
+
+
+class _Sliced(NamedTuple):
+    vertex: int  # summed over one block at a time
+    neighbours: tuple
+    parts: tuple  # (vertices, plan of g.induced(vertices)) covering the rest
+    size: int  # k times the largest part's size
 
 
 @functools.lru_cache(maxsize=1024)
@@ -54,6 +68,9 @@ def _plan(g, k, out_vertices):
     call.  Replaying the path on each operand's index set sizes its steps.
     When greedy finds no pair under its size limit it joins every operand
     left in one step, whose index space the largest intermediate misses.
+    If that join has at least _SLICE_AT index combinations, the plan slices
+    the summed vertex of highest degree instead: one contraction of the
+    rest of the pattern per block, each planned the same way.
     """
     terms = [_LETTERS[v] for v in range(g.vertex_count)]
     terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
@@ -72,7 +89,40 @@ def _plan(g, k, out_vertices):
         if len(joined) >= 3:
             largest_join = max(largest_join, k ** len(idx))
         sets.append(kept)
-    return _Plan(expr, path, largest_intermediate, largest_join)
+
+    summed = [v for v in range(g.vertex_count) if v not in out_vertices]
+    if largest_join < _SLICE_AT or not summed:
+        return _Plan(expr, path, g.edge_count, max(largest_intermediate, largest_join))
+    degrees = g.degrees()
+    v = max(summed, key=lambda u: (degrees[u], -u))
+    neighbours = tuple(sorted(g.neighbors(v)))
+    rest = [u for u in range(g.vertex_count) if u != v]
+    groups = [rest]
+    if not out_vertices:
+        # one part per component: numpy's einsum cannot multiply two fully
+        # summed object operands, which exact counts past int64 use
+        groups = [[rest[i] for i in c] for c in g.induced(rest).components()]
+    parts = tuple(
+        (tuple(vs), _plan(g.induced(vs), k, tuple(vs.index(u) for u in out_vertices)))
+        for vs in groups
+    )
+    return _Sliced(v, neighbours, parts, k * max(p.size for _, p in parts))
+
+
+def _evaluate(plan, factors, weights):
+    if isinstance(plan, _Plan):
+        return np.einsum(plan.expr, *factors, *[weights] * plan.edge_count, optimize=plan.path)
+    total = 0
+    for b, mass in enumerate(factors[plan.vertex]):
+        sliced = list(factors)
+        # weights is symmetric, so row b serves edges (vertex, u) and (u, vertex)
+        for u in plan.neighbours:
+            sliced[u] = factors[u] * weights[b]
+        term = mass
+        for vertices, part in plan.parts:
+            term = term * _evaluate(part, [sliced[u] for u in vertices], weights)
+        total = total + term
+    return total
 
 
 def _contract(g, vertex_factors, weights, out_vertices=(), cap=None):
@@ -91,13 +141,12 @@ def _contract(g, vertex_factors, weights, out_vertices=(), cap=None):
     k = weights.shape[0]
     plan = _plan(g, k, tuple(out_vertices))
     # every step's index space is at most k**nv, so small patterns always pass
-    if max(plan.largest_intermediate, plan.largest_join) > cap:
+    if plan.size > cap:
         raise EnumerationCapError(
-            f"{k}^{nv} maps exceed the enumeration cap {cap} and no "
-            f"cheap contraction order was found"
+            f"contracting {nv} vertices on {k} blocks takes {plan.size} index "
+            f"combinations, over the enumeration cap {cap}"
         )
-    ops = [*vertex_factors, *[weights] * g.edge_count]
-    result = np.einsum(plan.expr, *ops, optimize=plan.path)
+    result = _evaluate(plan, vertex_factors, weights)
     # item() keeps integer counts exact; object contractions may return a bare int
     return result if out_vertices else np.asarray(result).item()
 
@@ -125,8 +174,9 @@ def hom_count(g, target):
 
 def density(g, w):
     """Homomorphism density t(g, w) of a pattern graph in a step graphon."""
-    t = _contract(g, [w.masses] * g.vertex_count, w.weights)
-    t = float(t)
+    t = float(_contract(g, [w.masses] * g.vertex_count, w.weights))
+    if not -_CLAMP_TOL <= t <= 1.0 + _CLAMP_TOL:
+        raise DiscrepancyError(f"t(g, W) = {t!r} lies outside [0, 1]")
     # all terms are nonnegative; clamp float noise at the boundary
     return min(max(t, 0.0), 1.0)
 

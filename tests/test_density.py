@@ -1,14 +1,18 @@
+import contextlib
+import importlib
+import itertools
 import math
 import string
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import density_oracle, hom_count_oracle
 from rhokit import (
+    DiscrepancyError,
     DomainError,
     EnumerationCapError,
     Graph,
@@ -32,7 +36,10 @@ from rhokit import (
     spectrum,
     star,
 )
-from rhokit.density import _contract, _plan
+from rhokit.density import _contract, _plan, _Sliced
+
+# the package's density() function shadows the module's attribute name
+density_module = importlib.import_module("rhokit.density")
 
 
 def graphons(count, seed, sizes=(2, 3, 4, 5)):
@@ -208,13 +215,113 @@ class TestPlanCache:
         monkeypatch.delenv("RHOKIT_ENUM_CAP")
         assert density(g, w) >= 0
 
-    def test_cap_bounds_multi_operand_step(self):
-        # greedy finds no pair under its size limit and would join all 8
-        # indices in one step: 40**8 index combinations
+
+def random_graphon(k, seed):
+    rng = np.random.default_rng(seed)
+    masses = rng.random(k) + 0.1
+    a = rng.random((k, k))
+    return WeightedGraph(masses / masses.sum(), (a + a.T) / 2)
+
+
+@contextlib.contextmanager
+def slice_at(threshold):
+    """Plan under another slicing threshold; plans made under it are dropped."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density_module, "_SLICE_AT", threshold)
+        _plan.cache_clear()
+        try:
+            yield
+        finally:
+            _plan.cache_clear()
+
+
+class TestSlicing:
+    @pytest.mark.parametrize("spec,k", [("K4", 33), ("K5", 17)])
+    def test_sliced_density_matches_oracle(self, spec, k):
+        g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
+        assert isinstance(_plan(g, k, ()), _Sliced)  # the give-up join is >= 2**20
+        assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
+
+    def test_k4_on_128_blocks(self):
+        w = WeightedGraph(np.full(128, 1 / 128), np.full((128, 128), 0.3))
+        assert density(complete(4), w) == pytest.approx(0.3**6, rel=1e-12)
+
+    def test_hom_count_through_slices(self):
+        assert hom_count(complete(4), complete(40)) == 40 * 39 * 38 * 37
+        # greedy would join all 8 indices at once; slicing one vertex of
+        # each K4 makes a plan of 40**2 x 40**2 index combinations
         start = time.perf_counter()
-        with pytest.raises(EnumerationCapError):
-            hom_count(parse_graph_spec("2xK4"), complete(40))
+        assert hom_count(parse_graph_spec("2xK4"), complete(40)) == (40 * 39 * 38 * 37) ** 2
+        assert time.perf_counter() - start < 2.0
+
+    def test_sliced_vertex_with_pendants_exact_past_int64(self):
+        # slicing the hub leaves 15 isolated vertices, counted in Python ints
+        k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        g = Graph.from_edges(19, k4 + [(3, v) for v in range(4, 19)])
+        assert hom_count(g, complete(40)) == 40 * 39 * 38 * 37 * 39**15
+
+    def test_gradient_matches_unsliced(self):
+        g, w = complete(4), random_graphon(33, seed=3)
+        assert isinstance(_plan(g, 33, (0,)), _Sliced)
+        gm, gw = density_gradient(g, w)
+        with slice_at(2**62):
+            assert not isinstance(_plan(g, 33, (0,)), _Sliced)
+            ref_m, ref_w = density_gradient(g, w)
+        np.testing.assert_allclose(gm, ref_m, rtol=1e-12)
+        np.testing.assert_allclose(gw, ref_w, rtol=1e-12)
+
+    def test_cap_bounds_nested_slices(self):
+        # K8 on 40 blocks slices five vertices down to K3: 40**5 * 40**2
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError, match=f"takes {40**7} index combinations"):
+            density(complete(8), random_graphon(40, seed=8))
         assert time.perf_counter() - start < 1.0
+
+    def test_cap_bounds_sliced_plan(self, monkeypatch):
+        monkeypatch.setenv("RHOKIT_ENUM_CAP", "1e4")
+        with pytest.raises(EnumerationCapError, match=f"takes {40 * 40**2} index combinations"):
+            density(complete(4), random_graphon(40, seed=4))
+
+    def test_slices_nest(self):
+        w = random_graphon(2, seed=2)
+        with slice_at(1):
+            plan = _plan(complete(5), 2, ())
+            assert isinstance(plan, _Sliced) and isinstance(plan.parts[0][1], _Sliced)
+            assert density(complete(5), w) == pytest.approx(density_oracle(complete(5), w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.lists(st.booleans(), min_size=21, max_size=21),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=0, max_value=1000),
+)
+def test_nested_slices_match_oracle(nv, keep, k, seed):
+    pairs = itertools.combinations(range(nv), 2)
+    edges = [e for e, kept in zip(pairs, keep) if kept]
+    assume(edges)
+    g, w = Graph.from_edges(nv, edges), random_graphon(k, seed)
+    out = (max(edges)[1],)  # a free vertex, which is never sliced
+    with slice_at(1):
+        got = density(g, w)
+        got_out = _contract(g, [w.masses] * nv, w.weights, out_vertices=out)
+    assert got == pytest.approx(density_oracle(g, w), rel=1e-12, abs=1e-300)
+    ref_out = greedy_einsum(g, [w.masses] * nv, w.weights, out)
+    np.testing.assert_allclose(got_out, ref_out, rtol=1e-12)
+
+
+class TestClamp:
+    @pytest.mark.parametrize("t", [1 + 1e-9, -1e-9, math.nan])
+    def test_out_of_range_raises(self, monkeypatch, t):
+        monkeypatch.setattr(density_module, "_contract", lambda *args: t)
+        with pytest.raises(DiscrepancyError):
+            density(path(1), WeightedGraph.constant(0.5))
+
+    @pytest.mark.parametrize("t,clamped", [(1 + 1e-13, 1.0), (-1e-13, 0.0)])
+    def test_float_noise_clamped(self, monkeypatch, t, clamped):
+        monkeypatch.setattr(density_module, "_contract", lambda *args: t)
+        assert density(path(1), WeightedGraph.constant(0.5)) == clamped
 
 
 class TestSpectral:
