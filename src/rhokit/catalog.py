@@ -372,6 +372,22 @@ def _branch_stars(g, h, glb):
     return None
 
 
+def _bipartite_case(a1, a2, b1, b2):
+    """(case, rho(K[a1,a2], K[b1,b2])) for the five proven cases, with
+    a1 >= a2 and b1 >= b2; None otherwise."""
+    if b1 >= a1 and b2 >= a2:
+        return 1, Fraction(b1 * b2, a1 * a2)
+    if b1 <= a1 and b2 >= a2:
+        return 2, Fraction(b2, a2)
+    if b1 <= a1 and b2 <= a2:
+        return 3, max(Fraction(b2, a2), Fraction(b1 + b2, a1 + a2))
+    if b1 >= a1 and b2 <= a2 and b1 + b2 <= a1 + a2:
+        return 4, Fraction(b1 + b2, a1 + a2)
+    if b1 >= a1 and b2 == 1 and b1 + b2 >= a1 + a2:
+        return 5, Fraction(b1, a1 + a2 - 1)
+    return None
+
+
 def _branch_bipartite(g, h, glb):
     a = as_multipartite(g)
     b = as_multipartite(h)
@@ -379,16 +395,10 @@ def _branch_bipartite(g, h, glb):
         return None
     a1, a2 = a
     b1, b2 = b
-    if b1 >= a1 and b2 >= a2:
-        return _exact(Fraction(b1 * b2, a1 * a2), "bipartite-case-1")
-    if b1 <= a1 and b2 >= a2:
-        return _exact(Fraction(b2, a2), "bipartite-case-2")
-    if b1 <= a1 and b2 <= a2:
-        return _exact(max(Fraction(b2, a2), Fraction(b1 + b2, a1 + a2)), "bipartite-case-3")
-    if b1 >= a1 and b2 <= a2 and b1 + b2 <= a1 + a2:
-        return _exact(Fraction(b1 + b2, a1 + a2), "bipartite-case-4")
-    if b1 >= a1 and b2 == 1 and b1 + b2 >= a1 + a2:
-        return _exact(Fraction(b1, a1 + a2 - 1), "bipartite-case-5")
+    proven = _bipartite_case(a1, a2, b1, b2)
+    if proven is not None:
+        case, value = proven
+        return _exact(value, f"bipartite-case-{case}")
     if a2 >= b2 > 1 and a1 <= b1 and b1 + b2 >= a1 + a2:
         value = max(Fraction(b1 * b2, a1 * a2), Fraction(b1 + b2 - 1, a1 + a2 - 1))
         return RhoResult(

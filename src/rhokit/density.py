@@ -10,9 +10,11 @@ slices one vertex instead (as in tensor-network slicing): it loops over
 that vertex's blocks and contracts the rest of the pattern per block.  A
 configurable cap rejects a plan whose size -- its largest intermediate or
 largest step joining three or more operands, times the block count for
-each sliced vertex -- exceeds the cap.  Density products can be
-re-evaluated in log space when the float64 result underflows
-(constructions drive densities toward 0).
+each sliced vertex -- exceeds the cap.  log_density picks one of two
+routes from the input: when every positive term of the density is a normal
+float64 it takes the log of the float contraction; otherwise (constructions
+drive densities toward 0) it scales masses and weights to integers over
+powers of two and counts exactly, the way hom_count counts past int64.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .graphs import Graph, WeightedGraph, path
 DEFAULT_ENUM_CAP = 10**8
 # a give-up join this large is sliced; smaller ones keep numpy's greedy path
 _SLICE_AT = 2**20
-_LOGSPACE_BRUTE_CAP = 10**6
+# below log 2**-1000 a term may be subnormal, and log_density counts exactly
+_NORMAL_LOG = -1000 * math.log(2)
 _CLAMP_TOL = 1e-12  # float noise past [0, 1] that density clamps; beyond it raises
 _LETTERS = string.ascii_letters
 
@@ -163,13 +166,30 @@ def hom_count(g, target):
     if n**g.vertex_count < 2**63:  # n**|V(g)| bounds every intermediate count
         ones = np.ones(n, dtype=np.int64)
         return _contract(g, [ones] * g.vertex_count, target.adjacency())
-    # Python integers.  numpy's optimized einsum multiplies two fully summed
-    # object operands as int64, which wraps, so no contraction may join two
-    # components: each is counted on its own.
     ones = np.ones(n, dtype=object)
-    adj = target.adjacency().astype(object)
-    parts = (g.induced(c) for c in g.components())
-    return math.prod(_contract(p, [ones] * p.vertex_count, adj) for p in parts)
+    return _exact_sum(g, [ones] * g.vertex_count, target.adjacency().astype(object))
+
+
+def _exact_sum(g, factors, weights):
+    """Contraction of g over Python-integer factors and weights, exactly.
+
+    numpy's optimized einsum multiplies two fully summed object operands as
+    int64, which wraps, so no contraction may join two components: each is
+    counted on its own.
+    """
+    components = g.components()
+    if len(components) == 1:
+        return _contract(g, factors, weights)
+    parts = ((g.induced(c), [factors[v] for v in c]) for c in components)
+    return math.prod(_contract(p, fs, weights) for p, fs in parts)
+
+
+def _as_integers(x):
+    """(e, n): an object array n of Python integers with x == n / 2**e."""
+    ratios = [v.as_integer_ratio() for v in x.flat]
+    e = max(d.bit_length() - 1 for _, d in ratios)  # every d is a power of two
+    n = [p << (e - d.bit_length() + 1) for p, d in ratios]
+    return e, np.array(n, dtype=object).reshape(x.shape)
 
 
 def density(g, w):
@@ -184,43 +204,23 @@ def density(g, w):
 def log_density(g, w):
     """log t(g, w); -inf when the density is exactly 0.
 
-    Falls back to a log-space brute-force summation when the float64
-    contraction underflows but a positive map exists.
+    If every positive term of the density, a product of |V| masses and |E|
+    weights, is at least 2**-1000, the float contraction is accurate and is
+    0 only for a zero density, so this is its log.  Otherwise the masses and
+    weights are scaled to integers over powers of two and the density is
+    counted exactly, so a positive density never underflows to log 0.
     """
-    t = density(g, w)
-    if t > 0.0:
-        return math.log(t)
-    k = w.block_count
-    if float(k) ** g.vertex_count <= _LOGSPACE_BRUTE_CAP:
-        return _logspace_bruteforce(g, w)
-    return -math.inf
-
-
-def _logspace_bruteforce(g, w):
-    nv = g.vertex_count
-    if nv == 0:
-        return 0.0
-    k = w.block_count
-    log_m = np.log(w.masses)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w.weights)
-    edges = sorted(g.edges)
-    terms = []
-    for phi in itertools.product(range(k), repeat=nv):
-        s = sum(log_m[b] for b in phi)
-        ok = True
-        for u, v in edges:
-            lw = log_w[phi[u], phi[v]]
-            if lw == -math.inf:
-                ok = False
-                break
-            s += lw
-        if ok:
-            terms.append(s)
-    if not terms:
+    smallest = g.vertex_count * math.log(w.masses.min())
+    smallest += g.edge_count * math.log(w.weights[w.weights > 0].min(initial=1.0))
+    if smallest > _NORMAL_LOG:
+        t = density(g, w)
+        return math.log(t) if t > 0.0 else -math.inf
+    e_m, masses = _as_integers(w.masses)
+    e_w, weights = _as_integers(w.weights)
+    count = _exact_sum(g, [masses] * g.vertex_count, weights)
+    if count == 0:
         return -math.inf
-    m = max(terms)
-    return m + math.log(sum(math.exp(t - m) for t in terms))
+    return math.log(count) - (g.vertex_count * e_m + g.edge_count * e_w) * math.log(2)
 
 
 def spectrum(w):

@@ -140,9 +140,6 @@ def _components(nbrs):
 # ---------------------------------------------------------------------------
 # named families
 
-FAMILIES = ("path", "cycle", "complete", "star", "multipartite", "hub", "cycle_tail")
-
-
 def path(m):
     if m < 1:
         raise DomainError("path needs m >= 1 edges")
@@ -223,45 +220,6 @@ def cycle_tail(k, ell):
 
 def paw():
     return Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-
-
-def standard_graph(family, params):
-    params = list(params)
-    if family == "path":
-        return path(params[0])
-    if family == "cycle":
-        return cycle(params[0])
-    if family == "complete":
-        return complete(params[0])
-    if family == "star":
-        return star(params[0])
-    if family == "multipartite":
-        return multipartite(params)
-    if family == "hub":
-        return hub(params)
-    if family == "cycle_tail":
-        return cycle_tail(params[0], params[1])
-    raise DomainError(f"unknown family {family!r}")
-
-
-def family_spec(family, params):
-    """Canonical spec text for a family, inverse of parse_graph_spec."""
-    params = list(params)
-    if family == "path":
-        return f"P{params[0]}"
-    if family == "cycle":
-        return f"C{params[0]}"
-    if family == "complete":
-        return f"K{params[0]}"
-    if family == "star":
-        return f"S{params[0]}"
-    if family == "multipartite":
-        return "K[" + ",".join(str(p) for p in params) + "]"
-    if family == "hub":
-        return "Khub[" + ",".join(str(p) for p in params) + "]"
-    if family == "cycle_tail":
-        return f"Gtail[{params[0]},{params[1]}]"
-    raise DomainError(f"unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------

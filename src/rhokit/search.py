@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _contract, density, log_density
+from .density import _contract, density
 from .errors import DiscrepancyError, DomainError
 from .graphs import Graph, WeightedGraph, parse_graph_spec
 from .verify import PROFILES, sample_weighted_graph
@@ -140,11 +140,6 @@ def _structured_starts(k):
     return starts
 
 
-def _feasible(g, h, w, margin):
-    tg = density(g, w)
-    return 0.0 < tg <= 1.0 - margin and density(h, w) > 0.0
-
-
 def _feasible_ratio(g, h, w, margin):
     """log t(H,W) / log t(G,W), the float ratio_objective returns, or None
     when W is infeasible; t(H,W) is skipped when t(G,W) is out of range."""
@@ -208,7 +203,9 @@ def search_lower_bound(g_spec, h_spec, config=None):
         for r in range(cfg.restarts):
             profile = PROFILES[r % len(PROFILES)]
             starts.append(sample_weighted_graph(profile, k, cfg.seed + 1000 * k + r))
-        feasible_starts.extend(w0 for w0 in starts if _feasible(g, h, w0, cfg.margin))
+        feasible_starts.extend(
+            w0 for w0 in starts if _feasible_ratio(g, h, w0, cfg.margin) is not None
+        )
 
     best_ratio = -math.inf
     best_w = None

@@ -18,6 +18,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 
+from .catalog import _bipartite_case, majorizes, rho_exact
 from .constructions import ConstructionFamily
 from .density import (
     delta_index,
@@ -263,8 +264,6 @@ def _partitions(total, max_parts):
 
 
 def _majorizing_pairs(total, max_parts):
-    from .catalog import majorizes
-
     parts = list(_partitions(total, max_parts))
     out = []
     for a in parts:
@@ -355,28 +354,15 @@ def _suite_cycle_path(rng, w):
     return _check(lhs, (2 * n / m) * lp, f"t(C{2 * n}) >= t(P{m})^({2 * n}/{m})")
 
 
-def _bipartite_rho(a1, a2, b1, b2):
-    if b1 >= a1 and b2 >= a2:
-        return Fraction(b1 * b2, a1 * a2)
-    if b1 <= a1 and b2 >= a2:
-        return Fraction(b2, a2)
-    if b1 <= a1 and b2 <= a2:
-        return max(Fraction(b2, a2), Fraction(b1 + b2, a1 + a2))
-    if b1 >= a1 and b2 <= a2 and b1 + b2 <= a1 + a2:
-        return Fraction(b1 + b2, a1 + a2)
-    if b1 >= a1 and b2 == 1 and b1 + b2 >= a1 + a2:
-        return Fraction(b1, a1 + a2 - 1)
-    return None  # the conjectured case: not a theorem, not tested here
-
-
 def _suite_bipartite_cases(rng, w):
     for _ in range(50):
         a2 = int(rng.integers(1, 4))
         a1 = int(rng.integers(a2, 5))
         b2 = int(rng.integers(1, 4))
         b1 = int(rng.integers(b2, 5))
-        rho = _bipartite_rho(a1, a2, b1, b2)
-        if rho is not None:
+        proven = _bipartite_case(a1, a2, b1, b2)
+        if proven is not None:  # the conjectured case is not a theorem
+            rho = proven[1]
             break
     else:
         return None
@@ -430,8 +416,6 @@ _CATALOG_PAIRS = (
 
 
 def _suite_catalog_upper(rng, w):
-    from .catalog import rho_exact
-
     gs, hs = _CATALOG_PAIRS[int(rng.integers(len(_CATALOG_PAIRS)))]
     res = rho_exact(gs, hs)
     lg = log_density(parse_graph_spec(gs), w)

@@ -2,11 +2,14 @@
 
 Deliberately implemented differently from the library's einsum-based
 contraction: the density oracle materializes the full |blocks|^{|V|} grid
-of vertex assignments with index broadcasting, and the hom-count oracle
+of vertex assignments with index broadcasting, the log-density oracle sums
+every vertex map's term exactly as a Fraction, and the hom-count oracle
 enumerates vertex maps one by one.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +27,24 @@ def density_oracle(g, w):
     for u, v in g.edges:
         total = total * w.weights[grid[u], grid[v]]
     return float(total.sum())
+
+
+def log_density_oracle(g, w):
+    """log t(g, w) from the exact Fraction sum over all vertex maps; -inf if 0."""
+    masses = [m.as_integer_ratio() for m in w.masses.tolist()]
+    weights = [[x.as_integer_ratio() for x in row] for row in w.weights.tolist()]
+    sums = {}  # denominator -> sum of the numerators of the terms over it
+    for phi in itertools.product(range(w.block_count), repeat=g.vertex_count):
+        factors = [masses[b] for b in phi] + [weights[phi[u]][phi[v]] for u, v in g.edges]
+        den = math.prod(d for _, d in factors)
+        sums[den] = sums.get(den, 0) + math.prod(n for n, _ in factors)
+    total = sum(Fraction(n, d) for d, n in sums.items())
+    if total == 0:
+        return -math.inf
+    # log of a value in [1/2, 2) plus a whole number of log 2s, so the log
+    # does not cancel two large logs of numerator and denominator
+    shift = total.numerator.bit_length() - total.denominator.bit_length()
+    return math.log(total / Fraction(2) ** shift) + shift * math.log(2)
 
 
 def hom_count_oracle(g, target):

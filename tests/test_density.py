@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import density_oracle, hom_count_oracle
+from oracles import density_oracle, hom_count_oracle, log_density_oracle
 from rhokit import (
     DiscrepancyError,
     DomainError,
@@ -36,6 +36,7 @@ from rhokit import (
     spectrum,
     star,
 )
+from rhokit.constructions import build_construction
 from rhokit.density import _contract, _plan, _Sliced
 
 # the package's density() function shadows the module's attribute name
@@ -123,7 +124,7 @@ class TestDensity:
             for g in (path(2), cycle(4)):
                 t = density(g, w)
                 if t > 0:
-                    assert log_density(g, w) == pytest.approx(math.log(t), rel=1e-12)
+                    assert log_density(g, w) == math.log(t)
 
     def test_log_density_underflow_fallback(self):
         # densities below float64's smallest subnormal still get a finite log
@@ -136,6 +137,69 @@ class TestDensity:
     def test_log_density_exact_zero(self):
         w = WeightedGraph([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])  # bipartite
         assert log_density(cycle(3), w) == -math.inf
+
+
+class TestLogDensity:
+    def test_positive_past_the_old_enumeration_cap(self):
+        # 4**11 maps; the float density underflows to 0
+        w = WeightedGraph(np.full(4, 0.25), np.full((4, 4), 1e-40))
+        assert density(path(10), w) == 0.0
+        assert log_density(path(10), w) == pytest.approx(-921.0340371976183, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "g,w",
+        [
+            # the float log of t(C3) is off by 1.6e-5 relative here
+            (cycle(3), build_construction("looped_star", (), 1e161)),
+            # t = 1e-320 keeps 11 bits as a subnormal float
+            (cycle(10), WeightedGraph.constant(1e-32)),
+        ],
+    )
+    def test_subnormal_density_keeps_its_digits(self, g, w):
+        assert 0.0 < density(g, w) < 2**-1022
+        assert log_density(g, w) == pytest.approx(log_density_oracle(g, w), rel=1e-12)
+
+    def test_exact_zero_past_the_old_enumeration_cap(self):
+        # an odd cycle on a bipartite graphon: 5**9 maps, none positive
+        side = np.array([0, 0, 1, 1, 1])
+        weights = np.where(side[:, None] != side[None, :], 1e-40, 0.0)
+        w = WeightedGraph(np.full(5, 0.2), weights)
+        assert log_density(cycle(9), w) == -math.inf
+
+    @pytest.mark.parametrize("weight", [0.3, 1e-60])
+    def test_one_contraction_per_call(self, weight, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return contract(*args, **kwargs)
+
+        contract = density_module._contract
+        monkeypatch.setattr(density_module, "_contract", counted)
+        w = WeightedGraph(np.full(3, 1 / 3), np.full((3, 3), weight))
+        assert log_density(complete(4), w) == pytest.approx(6 * math.log(weight), rel=1e-12)
+        assert calls == [complete(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.booleans(), min_size=15, max_size=15),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=1000),
+)
+def test_log_density_matches_oracle_down_to_1e_300(nv, keep, k, mass_exp, weight_exp, seed):
+    pairs = itertools.combinations(range(nv), 2)
+    g = Graph.from_edges(nv, [e for e, kept in zip(pairs, keep) if kept])
+    rng = np.random.default_rng(seed)
+    masses = rng.random(k) + 0.1
+    masses[1:] *= 10.0**-mass_exp / masses.sum()
+    masses[0] = 1.0 - masses[1:].sum()
+    a = rng.random((k, k)) * (rng.random((k, k)) < 0.8)  # some zero weights
+    w = WeightedGraph(masses, (a + a.T) / 2 * 10.0**-weight_exp)
+    assert log_density(g, w) == pytest.approx(log_density_oracle(g, w), rel=1e-12)
 
 
 def greedy_einsum(g, factors, weights, out=()):

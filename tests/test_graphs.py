@@ -30,9 +30,7 @@ from rhokit.graphs import (
     as_multipartite,
     as_path,
     as_star,
-    family_spec,
     is_paw,
-    standard_graph,
 )
 
 
@@ -93,20 +91,6 @@ class TestFamilies:
         for bad in (lambda: path(0), lambda: cycle(2), lambda: complete(0), lambda: star(0)):
             with pytest.raises(DomainError):
                 bad()
-
-    def test_standard_graph_and_spec_round_trip(self):
-        cases = [
-            ("path", [4]),
-            ("cycle", [6]),
-            ("complete", [3]),
-            ("star", [5]),
-            ("multipartite", [3, 2, 1]),
-            ("hub", [2, 0, 1]),
-            ("cycle_tail", [2, 3]),
-        ]
-        for family, params in cases:
-            g = standard_graph(family, params)
-            assert parse_graph_spec(family_spec(family, params)).edges == g.edges
 
 
 class TestSurgery:
