@@ -464,25 +464,13 @@ def _rho_base(g, h, compose):
 
     glb = general_lower_bounds(g, h)
 
-    winner = None
-    extra_tags = []
-    for branch in _BRANCHES:
-        res = branch(g, h, glb)
-        if res is None:
-            continue
-        if res.status == "exact":
-            if winner is None or winner.status != "exact":
-                extra_tags = ([] if winner is None else list(winner.provenance)) + extra_tags
-                winner = res
-            else:
-                extra_tags.extend(res.provenance)
-        elif winner is None:
-            winner = res
-        else:
-            extra_tags.extend(res.provenance)
-
-    if winner is None:
-        winner = RhoResult("unknown", lower=glb, upper=None, provenance=("construction-lower",))
+    # the first exact branch result wins, else the first result; the
+    # others' tags follow the winner's, in branch order
+    results = [res for res in (branch(g, h, glb) for branch in _BRANCHES) if res is not None]
+    if not results:
+        results = [RhoResult("unknown", lower=glb, upper=None, provenance=("construction-lower",))]
+    winner = results.pop(next((i for i, r in enumerate(results) if r.status == "exact"), 0))
+    extra_tags = [t for res in results for t in res.provenance]
 
     if winner.status in ("interval", "unknown"):
         winner = _tighten(g, h, winner, glb, compose)

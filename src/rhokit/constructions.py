@@ -8,7 +8,6 @@ closed-form at scales up to 1e9.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DiscrepancyError, DomainError, EnumerationCapError
-from .graphs import Graph, WeightedGraph, path
+from .graphs import Graph, path
 
 DEFAULT_ENUM_CAP = 10**8
 # a give-up join this large is sliced; smaller ones keep numpy's greedy path
@@ -128,7 +128,7 @@ def _evaluate(plan, factors, weights):
     return total
 
 
-def _contract(g, vertex_factors, weights, out_vertices=(), cap=None):
+def _contract(g, vertex_factors, weights, out_vertices=()):
     """Contract the density tensor network of pattern g.
 
     vertex_factors[v] is the length-k vector multiplied in for vertex v
@@ -140,7 +140,7 @@ def _contract(g, vertex_factors, weights, out_vertices=(), cap=None):
         return 1.0
     if nv > len(_LETTERS):
         raise EnumerationCapError(f"patterns with more than {len(_LETTERS)} vertices unsupported")
-    cap = cap if cap is not None else enumeration_cap()
+    cap = enumeration_cap()
     k = weights.shape[0]
     plan = _plan(g, k, tuple(out_vertices))
     # every step's index space is at most k**nv, so small patterns always pass

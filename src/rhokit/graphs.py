@@ -306,37 +306,32 @@ def as_star(g):
     return None
 
 
-def as_hub(g, clique_size=None):
-    """Return the pendant-count vector a if g is K'_a (central clique plus,
-    for each clique vertex i, a_i pendants adjacent to the clique minus i).
-
-    If clique_size is given, only decompositions with that central clique
-    size are considered.
+def as_hub(g, clique_size):
+    """Return the pendant-count vector a if g is K'_a with a central clique
+    of clique_size vertices (plus, for each clique vertex i, a_i pendants
+    adjacent to the clique minus i), else None.
     """
+    n = clique_size
     n_total = g.vertex_count
-    sizes = [clique_size] if clique_size else range(min(n_total, 8), 1, -1)
-    for n in sizes:
-        if n is None or n < 2 or n > n_total:
+    if not 2 <= n <= n_total:
+        return None
+    for clique in itertools.combinations(range(n_total), n):
+        cs = set(clique)
+        if any((u, v) not in g.edges for u, v in itertools.combinations(clique, 2)):
             continue
-        for clique in itertools.combinations(range(n_total), n):
-            cs = set(clique)
-            if any(
-                (u, v) not in g.edges for u, v in itertools.combinations(clique, 2)
-            ):
+        counts = {v: 0 for v in clique}
+        ok = True
+        for v in range(n_total):
+            if v in cs:
                 continue
-            counts = {v: 0 for v in clique}
-            ok = True
-            for v in range(n_total):
-                if v in cs:
-                    continue
-                nb = g.neighbors(v)
-                if len(nb) != n - 1 or not nb <= cs:
-                    ok = False
-                    break
-                missing = cs - nb
-                counts[missing.pop()] += 1
-            if ok:
-                return tuple(counts[v] for v in clique)
+            nb = g.neighbors(v)
+            if len(nb) != n - 1 or not nb <= cs:
+                ok = False
+                break
+            missing = cs - nb
+            counts[missing.pop()] += 1
+        if ok:
+            return tuple(counts[v] for v in clique)
     return None
 
 

@@ -1,12 +1,13 @@
 """Randomized property-test harness for every density inequality.
 
 Each suite checks one family of proven inequalities on sampled step
-graphons.  All comparisons happen in log space: a residual >= 0 certifies
-the inequality at the sampled instance, and any residual below
--1e-9*(1+|lhs|) is recorded as a failure (these are theorems; failures
-indicate an engine bug).  Trials where the base density is 0 are
-skipped-and-counted, matching the t(G,W) != 0 restriction in the
-definition of the exponent.
+graphons, in log space.  All but the two generalized-density suites check
+a domination sum_i a_i*log t(H_i,W) >= c*log t(G,W) through ``_dominates``,
+which skips (and counts) trials with t(G,W) = 0, matching the t(G,W) != 0
+restriction in the definition of the exponent.  A residual >= 0 certifies
+the inequality at the sampled instance; a residual below -1e-9*(1+|lhs|),
+or of -inf (some t(H_i,W) = 0), is a failure (these are theorems; failures
+indicate an engine bug).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .graphs import (
     complete,
     cycle,
     cycle_tail,
+    hub,
     multipartite,
     parse_graph_spec,
     path,
@@ -99,18 +101,15 @@ def sample_weighted_graph(profile, size, seed):
 def domination_residual(g, h, c, w):
     """log t(H,W) - c*log t(G,W); >= 0 certifies t(H,W) >= t(G,W)^c at W.
 
-    Returns -inf when t(H,W)=0 while t(G,W) < 1 (the inequality fails
-    outright); raises when t(G,W)=0.
+    Returns -inf when t(H,W) = 0 (the inequality fails outright, also when
+    t(G,W) = 1); raises when t(G,W) = 0.
     """
     g = g if isinstance(g, Graph) else parse_graph_spec(g)
     h = h if isinstance(h, Graph) else parse_graph_spec(h)
-    lg = log_density(g, w)
-    if lg == -math.inf:
+    trial = _dominates(w, g, float(c), [(1, h)], "")
+    if trial is None:
         raise DomainError("t(G,W) = 0: domination residual undefined")
-    lh = log_density(h, w)
-    if lh == -math.inf:
-        return -math.inf if lg < 0 else 0.0
-    return lh - float(c) * lg
+    return trial.residual
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,17 @@ class Trial:
     residual: float
 
 
-def _check(lhs_log, rhs_log, description):
-    """Build a trial record for lhs_log >= rhs_log."""
-    return Trial(description, lhs_log, lhs_log - rhs_log)
+def _dominates(w, base, c, terms, description):
+    """Trial for sum(a * log t(h, w) for a, h in terms) >= c * log t(base, w).
+
+    None (a skip) when t(base, w) = 0.  The base is evaluated first, then
+    the terms in order.
+    """
+    lb = log_density(base, w)
+    if lb == -math.inf:
+        return None
+    lhs = sum(a * log_density(h, w) for a, h in terms)
+    return Trial(description, lhs, lhs - c * lb)
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +140,12 @@ def _suite_holder(rng, w):
     if rng.integers(2) == 0:
         a = int(rng.integers(2, 5))
         b = int(rng.integers(2, 5))
-        lo = log_density(multipartite([a, b]), w)
-        if lo == -math.inf:
-            return None
-        hi = log_density(multipartite([a + 1, b - 1]), w) + log_density(
-            multipartite([a - 1, b + 1]), w
-        )
-        return _check(hi, 2 * lo, f"t(K{a + 1},{b - 1})t(K{a - 1},{b + 1}) >= t(K{a},{b})^2")
+        terms = [(1, multipartite([a + 1, b - 1])), (1, multipartite([a - 1, b + 1]))]
+        desc = f"t(K{a + 1},{b - 1})t(K{a - 1},{b + 1}) >= t(K{a},{b})^2"
+        return _dominates(w, multipartite([a, b]), 2, terms, desc)
     x = int(rng.choice([2, 4]))
-    lo = log_density(path(x + 2), w)
-    if lo == -math.inf:
-        return None
-    hi = log_density(path(x), w) + log_density(path(x + 4), w)
-    return _check(hi, 2 * lo, f"t(P{x})t(P{x + 4}) >= t(P{x + 2})^2")
+    terms = [(1, path(x)), (1, path(x + 4))]
+    return _dominates(w, path(x + 2), 2, terms, f"t(P{x})t(P{x + 4}) >= t(P{x + 2})^2")
 
 
 def _interpolation_tuples():
@@ -167,11 +167,8 @@ _INTERP = _interpolation_tuples()
 
 def _suite_path_interpolation(rng, w):
     a, b, x, y, z = _INTERP[int(rng.integers(len(_INTERP)))]
-    lz = log_density(path(z), w)
-    if lz == -math.inf:
-        return None
-    lhs = a * log_density(path(x), w) + b * log_density(path(y), w)
-    return _check(lhs, (a + b) * lz, f"{a}*logt(P{x}) + {b}*logt(P{y}) >= {a + b}*logt(P{z})")
+    desc = f"{a}*logt(P{x}) + {b}*logt(P{y}) >= {a + b}*logt(P{z})"
+    return _dominates(w, path(z), a + b, [(a, path(x)), (b, path(y))], desc)
 
 
 BETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -185,18 +182,15 @@ def _suite_blakely_roy_gen(rng, w):
         return None
     t = generalized_path_density(0.0, r, beta, w)
     lhs = math.log(t) if t > 0 else -math.inf
-    return _check(lhs, (r + beta) * le, f"t(P_(0,{r},{beta})) >= t(P1)^{r + beta}")
+    return Trial(f"t(P_(0,{r},{beta})) >= t(P1)^{r + beta}", lhs, lhs - (r + beta) * le)
 
 
 def _suite_cycle_tail(rng, w):
     k = int(rng.integers(1, 4))
     ell = int(rng.integers(0, 7))
-    lc = log_density(cycle(2 * k + 1), w)
-    if lc == -math.inf:
-        return None
     expo = 1 + math.ceil(ell / k) / 2
-    lhs = log_density(cycle_tail(k, ell), w)
-    return _check(lhs, expo * lc, f"t(G_({k},{ell})) >= t(C{2 * k + 1})^{expo}")
+    desc = f"t(G_({k},{ell})) >= t(C{2 * k + 1})^{expo}"
+    return _dominates(w, cycle(2 * k + 1), expo, [(1, cycle_tail(k, ell))], desc)
 
 
 def _suite_shearer_star(rng, w):
@@ -210,42 +204,30 @@ def _suite_shearer_star(rng, w):
     lhs = (c / a) * math.log(small)
     rhs = math.log(big) if big > 0 else -math.inf
     # upper bound on the bigger star: t(K_{c,bc/a}) <= t(K_{a,b})^{c/a}
-    return _check(lhs, rhs, f"t(K_{a},{b})^({c}/{a}) >= t(K_{c},{b * c}/{a})")
+    return Trial(f"t(K_{a},{b})^({c}/{a}) >= t(K_{c},{b * c}/{a})", lhs, lhs - rhs)
 
 
 def _suite_spectral_lp(rng, w):
     n = int(rng.integers(2, 4))
     m = int(rng.integers(2 * n + 1, 11))
-    lm = log_density(cycle(m), w)
-    if lm == -math.inf:
-        return None
-    lhs = log_density(cycle(2 * n), w)
-    return _check(lhs, (2 * n / m) * lm, f"t(C{2 * n}) >= t(C{m})^({2 * n}/{m})")
+    desc = f"t(C{2 * n}) >= t(C{m})^({2 * n}/{m})"
+    return _dominates(w, cycle(m), 2 * n / m, [(1, cycle(2 * n))], desc)
 
 
 def _suite_kruskal_katona(rng, w):
     s = int(rng.integers(2, 6))
     t = int(rng.integers(2, s + 1))
-    ls = log_density(complete(s), w)
-    if ls == -math.inf:
-        return None
-    lhs = log_density(complete(t), w)
-    return _check(lhs, (t / s) * ls, f"t(K{t}) >= t(K{s})^({t}/{s})")
+    return _dominates(w, complete(s), t / s, [(1, complete(t))], f"t(K{t}) >= t(K{s})^({t}/{s})")
 
 
 def _suite_hub(rng, w):
-    from .graphs import hub as hub_graph
-
     n = int(rng.integers(2, 4))
     while True:
         a = [int(rng.integers(0, 3)) for _ in range(n)]
         if 1 <= sum(a) <= 3:
             break
-    ln = log_density(complete(n), w)
-    if ln == -math.inf:
-        return None
-    lhs = log_density(hub_graph(a), w)
-    return _check(lhs, (1 + sum(a)) * ln, f"t(K'_{a}) >= t(K{n})^{1 + sum(a)}")
+    desc = f"t(K'_{a}) >= t(K{n})^{1 + sum(a)}"
+    return _dominates(w, complete(n), 1 + sum(a), [(1, hub(a))], desc)
 
 
 def _partitions(total, max_parts):
@@ -280,11 +262,8 @@ def _suite_majorization_monotone(rng, w):
     total = int(rng.integers(4, 9))
     pairs = _MAJ_PAIRS[total]
     a, b = pairs[int(rng.integers(len(pairs)))]
-    lb = log_density(multipartite(b), w)
-    if lb == -math.inf:
-        return None
-    lhs = log_density(multipartite(a), w)
-    return _check(lhs, lb, f"t(K_{a}) >= t(K_{b}) for {a} maj {b}")
+    desc = f"t(K_{a}) >= t(K_{b}) for {a} maj {b}"
+    return _dominates(w, multipartite(b), 1, [(1, multipartite(a))], desc)
 
 
 def _random_connected_graph(rng, nv):
@@ -317,22 +296,15 @@ def _suite_star_tree(rng, w):
     nv = int(rng.integers(2, 6))
     g = _random_connected_graph(rng, nv)
     t = int(rng.integers(nv - 1, 7))
-    lg = log_density(g, w)
-    if lg == -math.inf:
-        return None
-    lhs = log_density(star(t), w)
-    return _check(lhs, (t / (nv - 1)) * lg, f"t(K_1,{t}) >= t(G[{nv}v])^({t}/{nv - 1})")
+    desc = f"t(K_1,{t}) >= t(G[{nv}v])^({t}/{nv - 1})"
+    return _dominates(w, g, t / (nv - 1), [(1, star(t))], desc)
 
 
 def _suite_delta_star(rng, w):
     nv = int(rng.integers(2, 7))
     g = _random_graph(rng, nv)
-    lg = log_density(g, w)
-    if lg == -math.inf:
-        return None
     c = 2 / (nv - delta_index(g, 1))
-    lhs = log_density(path(1), w)
-    return _check(lhs, c * lg, f"t(K2) >= t(G[{nv}v,{g.edge_count}e])^{c}")
+    return _dominates(w, g, c, [(1, path(1))], f"t(K2) >= t(G[{nv}v,{g.edge_count}e])^{c}")
 
 
 def _suite_cycle_path(rng, w):
@@ -340,18 +312,11 @@ def _suite_cycle_path(rng, w):
         m = int(rng.integers(3, 7))
         n = int(rng.integers(1, 7))
         rho = Fraction(n + 1, m) if n <= m - 1 else Fraction(n, m - 1)
-        lc = log_density(cycle(m), w)
-        if lc == -math.inf:
-            return None
-        lhs = log_density(path(n), w)
-        return _check(lhs, float(rho) * lc, f"t(P{n}) >= t(C{m})^{rho}")
+        return _dominates(w, cycle(m), float(rho), [(1, path(n))], f"t(P{n}) >= t(C{m})^{rho}")
     m = int(rng.integers(1, 7))
     n = int(rng.integers(2, 5))
-    lp = log_density(path(m), w)
-    if lp == -math.inf:
-        return None
-    lhs = log_density(cycle(2 * n), w)
-    return _check(lhs, (2 * n / m) * lp, f"t(C{2 * n}) >= t(P{m})^({2 * n}/{m})")
+    desc = f"t(C{2 * n}) >= t(P{m})^({2 * n}/{m})"
+    return _dominates(w, path(m), 2 * n / m, [(1, cycle(2 * n))], desc)
 
 
 def _suite_bipartite_cases(rng, w):
@@ -366,11 +331,8 @@ def _suite_bipartite_cases(rng, w):
             break
     else:
         return None
-    la = log_density(multipartite([a1, a2]), w)
-    if la == -math.inf:
-        return None
-    lhs = log_density(multipartite([b1, b2]), w)
-    return _check(lhs, float(rho) * la, f"t(K{b1},{b2}) >= t(K{a1},{a2})^{rho}")
+    desc = f"t(K{b1},{b2}) >= t(K{a1},{a2})^{rho}"
+    return _dominates(w, multipartite([a1, a2]), float(rho), [(1, multipartite([b1, b2]))], desc)
 
 
 def _suite_odd_cycle_bounds(rng, w):
@@ -379,19 +341,12 @@ def _suite_odd_cycle_bounds(rng, w):
         k = int(rng.integers(3, 2 * n + 1))
         q = Fraction(1, 2 * n - 1)
         u = (2 * n - 1 - q) / (k - 1 - q)
-        lk = log_density(cycle(k), w)
-        if lk == -math.inf:
-            return None
-        lhs = log_density(cycle(2 * n), w)
-        return _check(lhs, float(u) * lk, f"t(C{2 * n}) >= t(C{k})^{u}")
+        return _dominates(w, cycle(k), float(u), [(1, cycle(2 * n))], f"t(C{2 * n}) >= t(C{k})^{u}")
     k = int(rng.integers(1, 3))
     n = int(rng.integers(k + 1, 5))
-    lk = log_density(cycle(2 * k + 1), w)
-    if lk == -math.inf:
-        return None
     expo = math.ceil(n / k) + 1
-    lhs = log_density(cycle(2 * n + 1), w)
-    return _check(lhs, expo * lk, f"t(C{2 * n + 1}) >= t(C{2 * k + 1})^{expo}")
+    desc = f"t(C{2 * n + 1}) >= t(C{2 * k + 1})^{expo}"
+    return _dominates(w, cycle(2 * k + 1), expo, [(1, cycle(2 * n + 1))], desc)
 
 
 _CATALOG_PAIRS = (
@@ -418,11 +373,9 @@ _CATALOG_PAIRS = (
 def _suite_catalog_upper(rng, w):
     gs, hs = _CATALOG_PAIRS[int(rng.integers(len(_CATALOG_PAIRS)))]
     res = rho_exact(gs, hs)
-    lg = log_density(parse_graph_spec(gs), w)
-    if lg == -math.inf:
-        return None
-    lhs = log_density(parse_graph_spec(hs), w)
-    return _check(lhs, float(res.value) * lg, f"t({hs}) >= t({gs})^{res.value}")
+    terms = [(1, parse_graph_spec(hs))]
+    desc = f"t({hs}) >= t({gs})^{res.value}"
+    return _dominates(w, parse_graph_spec(gs), float(res.value), terms, desc)
 
 
 SUITES = {
@@ -458,15 +411,19 @@ class SuiteReport:
         return not self.failures
 
     def to_json(self):
+        """JSON form; a NaN (nothing evaluated) or -inf residual becomes null."""
+        def num(x):
+            return None if math.isnan(x) or x == -math.inf else x
+
         return {
             "suite": self.suite,
             "trials": self.trials,
             "evaluated": self.evaluated,
             "skipped": self.skipped,
             "failures": [
-                {"trial": t, "description": d, "residual": r} for t, d, r in self.failures
+                {"trial": t, "description": d, "residual": num(r)} for t, d, r in self.failures
             ],
-            "min_residual": None if math.isnan(self.min_residual) else self.min_residual,
+            "min_residual": num(self.min_residual),
             "passed": self.passed,
         }
 
@@ -480,6 +437,8 @@ def run_suite(suite, trials, seed):
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
+    if trials < 0:
+        raise DomainError(f"trials must be >= 0, got {trials}")
     fn = SUITES[suite]
     suite_idx = sorted(SUITES).index(suite)
     failures = []
@@ -497,8 +456,9 @@ def run_suite(suite, trials, seed):
             continue
         evaluated += 1
         min_residual = min(min_residual, record.residual)
+        # an infinite lhs would make the tolerance infinite, so -inf fails outright
         tol = RESIDUAL_TOL_SCALE * (1.0 + abs(record.lhs))
-        if record.residual < -tol:
+        if record.residual == -math.inf or record.residual < -tol:
             failures.append((trial, f"{profile}/{size}b: {record.description}", record.residual))
     return SuiteReport(
         suite=suite,

@@ -9,6 +9,8 @@ import jsonschema
 import pytest
 
 from rhokit.cli import run_cli
+from rhokit.graphs import WeightedGraph, complete
+from rhokit.verify import SUITES
 
 
 def schema(name):
@@ -146,6 +148,32 @@ class TestVerify:
         _, out1, _ = invoke(capsys, "verify", "--suite", "hub", "--trials", "15", "--seed", "6")
         _, out2, _ = invoke(capsys, "verify", "--suite", "hub", "--trials", "15", "--seed", "6")
         assert out1 == out2
+
+    def test_zero_target_density_is_a_failure(self, capsys, monkeypatch):
+        # t(K3, W) = 0 on a bipartite graphon while t(K2, W) > 0, so the
+        # residual is -inf: the trial must fail and the report stay valid JSON
+        from rhokit.verify import _dominates
+
+        bipartite = WeightedGraph([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+
+        def zero_target(rng, w):
+            return _dominates(bipartite, complete(2), 1, [(1, complete(3))], "t(K3) >= t(K2)")
+
+        monkeypatch.setitem(SUITES, "zero_target", zero_target)
+        code, out, _ = invoke(capsys, "verify", "--suite", "zero_target", "--trials", "3")
+        assert code == 1
+        (rep,) = json.loads(out)["suites"]
+        jsonschema.validate(rep, schema("suite_report"))
+        assert rep["passed"] is False
+        assert rep["evaluated"] == 3
+        assert [f["residual"] for f in rep["failures"]] == [None, None, None]
+        assert rep["min_residual"] is None
+
+    def test_negative_trials_exit_2(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--suite", "hub", "--trials", "-3")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["code"] == "domain"
 
 
 class TestSearch:

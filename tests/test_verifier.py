@@ -7,6 +7,7 @@ from rhokit import (
     DomainError,
     PROFILES,
     SUITES,
+    WeightedGraph,
     domination_residual,
     parse_graph_spec,
     reports_to_junit,
@@ -70,6 +71,11 @@ class TestResidual:
         g = parse_graph_spec("C4")
         assert domination_residual(g, g, 1, w) == pytest.approx(0.0)
 
+    def test_zero_target_fails_even_when_base_is_one(self):
+        # t(K1, W) = 1 and t(K2, W) = 0: t(K2) >= t(K1)^1 fails outright
+        w = WeightedGraph([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]])
+        assert domination_residual("K1", "K2", 1, w) == -math.inf
+
 
 class TestSuites:
     def test_all_suite_ids_present(self):
@@ -90,6 +96,10 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
             run_suite("nope", 5, 1)
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(DomainError):
+            run_suite("hub", -3, 0)
 
     def test_report_reproducible(self):
         a = run_suite("holder", 30, seed=4).to_json()
