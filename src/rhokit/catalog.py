@@ -19,6 +19,9 @@ Provenance tags emitted by the dispatcher:
 * ``hub-clique``
 * ``paw-square``
 * ``construction-lower`` / ``blowup-upper`` / ``composition-upper``
+* ``blowup-budget-exhausted``   -- the blowup search ran out of its budget
+
+Every bracket end is a theorem, so a bracket whose ends meet is ``exact``.
 """
 
 from __future__ import annotations
@@ -181,52 +184,57 @@ def blowup_upper_bound(g, h, budget=2_000_000):
     """min over homomorphisms phi: H -> G of prod_v max(1, |phi^-1(v)|).
 
     H sits inside the blowup of G along the preimage profile; iterated
-    single-vertex blowups bound rho by that product.  Returns None when the
-    enumeration budget is exhausted.
+    single-vertex blowups bound rho by that product.  A branch and bound
+    search finds the least product; returns None when there is no
+    homomorphism or when more than ``budget`` candidate images were tried.
     """
     g, h = _coerce(g), _coerce(h)
-    nh, ng = h.vertex_count, g.vertex_count
-    if nh == 0:
-        return Fraction(1)
-    gadj = g.adjacency()
-    order = _bfs_order(h)
-    back = [[u for u in order[:i] if (min(order[i], u), max(order[i], u)) in h.edges] for i in range(nh)]
-    pos = {v: i for i, v in enumerate(order)}
-    best = [None]
-    counts = [0] * ng
-    visited = [0]
+    best = _least_blowup(h, g, math.inf, [range(g.vertex_count)] * h.vertex_count, budget)
+    return None if best is None else Fraction(best)
 
-    def rec(i):
-        if visited[0] > budget:
-            raise TimeoutError
-        if i == nh:
-            prod = 1
-            for c in counts:
-                prod *= max(1, c)
-            if best[0] is None or prod < best[0]:
-                best[0] = prod
-            return
+
+def _least_blowup(h, g, bound, candidates, budget):
+    """Branch and bound for the least prod_v max(1, |phi^-1(v)|) below
+    ``bound`` over homomorphisms phi: H -> G with phi(u) in candidates[u].
+    The product never falls as a map extends, so a partial map is cut once
+    it reaches the best so far.  None when there is no such map or when more
+    than ``budget`` candidates were tried."""
+    h_nbrs, g_nbrs = h.neighbor_sets(), g.neighbor_sets()
+    order = _bfs_order(h_nbrs)
+    back = [h_nbrs[v] & set(order[:i]) for i, v in enumerate(order)]  # placed neighbours
+    image = [None] * h.vertex_count
+    load = [0] * g.vertex_count
+    best = bound
+    tried = 0
+
+    def extend(i, prod):  # False once the budget is spent
+        nonlocal best, tried
+        if i == len(order):
+            best = prod
+            return True
         v = order[i]
-        for tgt in range(ng):
-            visited[0] += 1
-            if all(gadj[tgt, assign[pos[u]]] for u in back[i]):
-                assign[i] = tgt
-                counts[tgt] += 1
-                rec(i + 1)
-                counts[tgt] -= 1
+        for w in candidates[v]:
+            tried += 1
+            if tried > budget:
+                return False
+            grown = prod // load[w] * (load[w] + 1) if load[w] else prod
+            if grown >= best or any(image[u] not in g_nbrs[w] for u in back[i]):
+                continue
+            image[v] = w
+            load[w] += 1
+            done = extend(i + 1, grown)
+            load[w] -= 1
+            if not done:
+                return False
+        return True
 
-    assign = [0] * nh
-    try:
-        rec(0)
-    except TimeoutError:
-        return None
-    return Fraction(best[0]) if best[0] is not None else None
+    return best if extend(0, 1) and best < bound else None
 
 
-def _bfs_order(h):
+def _bfs_order(nbrs):
     order = []
     seen = set()
-    for root in range(h.vertex_count):
+    for root in range(len(nbrs)):
         if root in seen:
             continue
         queue = [root]
@@ -234,7 +242,7 @@ def _bfs_order(h):
         while queue:
             v = queue.pop(0)
             order.append(v)
-            for u in sorted(h.neighbors(v)):
+            for u in sorted(nbrs[v]):
                 if u not in seen:
                     seen.add(u)
                     queue.append(u)
@@ -260,22 +268,10 @@ def _isomorphic(g, h):
     g_col, h_col = _colours(g_nbrs), _colours(h_nbrs)
     if sorted(g_col) != sorted(h_col):
         return False
-    image = []  # image[v]: the vertex of h that vertex v of g maps to
-
-    def extend(v):
-        if v == g.vertex_count:
-            return True
-        for w in range(h.vertex_count):
-            if w in image or h_col[w] != g_col[v]:
-                continue
-            if all((u in g_nbrs[v]) == (image[u] in h_nbrs[w]) for u in range(v)):
-                image.append(w)
-                if extend(v + 1):
-                    return True
-                image.pop()
-        return False
-
-    return extend(0)
+    # with equal vertex and edge counts, an injective homomorphism (product
+    # 1) is an isomorphism
+    same_colour = [[w for w in range(h.vertex_count) if h_col[w] == c] for c in g_col]
+    return _least_blowup(g, h, 2, same_colour, math.inf) is not None
 
 
 def _colours(nbrs):
@@ -474,6 +470,9 @@ def _rho_base(g, h, compose):
 
     if winner.status in ("interval", "unknown"):
         winner = _tighten(g, h, winner, glb, compose)
+        if winner.lower == winner.upper:
+            # both ends are theorems, so a closed bracket is the value
+            winner = RhoResult("exact", value=winner.lower, provenance=winner.provenance)
 
     if extra_tags:
         seen = list(winner.provenance)
@@ -498,7 +497,9 @@ def _tighten(g, h, res, glb, compose):
     tags = list(res.provenance)
 
     bub = blowup_upper_bound(g, h)
-    if bub is not None and (upper is None or bub < upper) and bub >= lower:
+    if bub is None:
+        tags.append("blowup-budget-exhausted")  # hom(H,G) > 0 here
+    elif (upper is None or bub < upper) and bub >= lower:
         upper = bub
         if "blowup-upper" not in tags:
             tags.append("blowup-upper")

@@ -1,10 +1,12 @@
-"""Independent oracles for densities and homomorphism counts.
+"""Independent oracles for densities, homomorphism counts and the blowup
+upper bound.
 
 Deliberately implemented differently from the library's einsum-based
 contraction: the density oracle materializes the full |blocks|^{|V|} grid
 of vertex assignments with index broadcasting, the log-density oracle sums
 every vertex map's term exactly as a Fraction, and the hom-count oracle
-enumerates vertex maps one by one.
+enumerates vertex maps one by one.  The blowup oracle enumerates every
+vertex map too, where the library prunes a branch and bound search.
 """
 
 import itertools
@@ -55,3 +57,15 @@ def hom_count_oracle(g, target):
         if all(adj[phi[u], phi[v]] for u, v in g.edges):
             count += 1
     return count
+
+
+def blowup_oracle(g, h):
+    """Least prod_v max(1, |phi^-1(v)|) over every vertex map phi: H -> G
+    that is a homomorphism, checked map by map; None when there is none."""
+    adj = g.adjacency()
+    products = [
+        math.prod(max(1, phi.count(v)) for v in range(g.vertex_count))
+        for phi in itertools.product(range(g.vertex_count), repeat=h.vertex_count)
+        if all(adj[phi[u], phi[v]] for u, v in h.edges)
+    ]
+    return min(products, default=None)

@@ -1,12 +1,18 @@
+import itertools
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import blowup_oracle
 
 from rhokit import (
     DomainError,
@@ -80,6 +86,29 @@ class TestFinitenessAndBounds:
         assert blowup_upper_bound(complete(2), cycle(4)) == Fraction(4)
         assert blowup_upper_bound(complete(3), multipartite([2, 1, 1])) == Fraction(2)
         assert blowup_upper_bound(complete(3), complete(3)) == Fraction(1)
+
+    @pytest.mark.parametrize("h", ["P9", "C10"])
+    def test_blowup_upper_on_long_targets(self, h):
+        # the least split of the 10 vertices over K5 is 5, 2, 1, 1, 1: one
+        # vertex of K5 takes every other vertex of H
+        assert blowup_upper_bound("K5", h) == Fraction(10)
+
+    def test_blowup_budget_spent(self):
+        assert blowup_upper_bound("K3", "C4", budget=0) is None
+        assert blowup_upper_bound("K3", "C4") == Fraction(2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.booleans(), min_size=15, max_size=15),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+)
+def test_blowup_upper_matches_oracle(nh, keep_h, ng, keep_g):
+    h = Graph.from_edges(nh, [e for e, k in zip(itertools.combinations(range(nh), 2), keep_h) if k])
+    g = Graph.from_edges(ng, [e for e, k in zip(itertools.combinations(range(ng), 2), keep_g) if k])
+    assert blowup_upper_bound(g, h) == blowup_oracle(g, h)
 
 
 class TestRhoResult:
@@ -195,6 +224,58 @@ class TestCatalog:
         assert res.status == "interval"
         assert res.upper is not None
 
+    @pytest.mark.parametrize(
+        "g,h,value",
+        [("K4", "P3", Fraction(1)), ("K4", "P5", Fraction(5, 3)), ("3xK2", "K[2,3]", Fraction(2))],
+    )
+    def test_closed_bracket_is_exact(self, g, h, value):
+        res = rho_exact(g, h)
+        assert res.status == "exact" and res.value == value
+        assert {"construction-lower", "blowup-upper"} <= set(res.provenance)
+
+    def test_spent_blowup_budget_is_tagged(self):
+        # the blowup search gives up on K6/P12; composition still closes it
+        res = rho_exact("K6", "P12")
+        assert "blowup-budget-exhausted" in res.provenance
+        assert "blowup-upper" not in res.provenance
+        assert res.status == "exact" and res.value == Fraction(12, 5)
+
+
+# The benchmark's catalog spec grid; tests/data/rho_grid.json holds
+# rho_exact(G, H).to_json() for every (G, H) over it, in grid order.
+# Regenerate with `PYTHONPATH=src python tests/test_catalog.py` after a
+# deliberate catalog change, and say which pairs moved.
+GRID_SPECS = ("K2", "P3", "P5", "C3", "C4", "K4", "paw", "K[2,3]", "Khub[1,1,1]", "3xK2")
+GRID_FILE = Path(__file__).parent / "data" / "rho_grid.json"
+
+
+def rho_grid():
+    return [
+        {"g": g, "h": h, "result": rho_exact(g, h).to_json()}
+        for g in GRID_SPECS
+        for h in GRID_SPECS
+    ]
+
+
+def test_rho_grid_matches_golden_file():
+    expected = json.loads(GRID_FILE.read_text())
+    got = rho_grid()
+    assert [(e["g"], e["h"]) for e in expected] == [(e["g"], e["h"]) for e in got]
+    for want, have in zip(expected, got):
+        assert have["result"] == want["result"], (have["g"], have["h"])
+
+
+CUBIC_16_A = [
+    (0, 2), (0, 7), (0, 10), (1, 3), (1, 11), (1, 13), (2, 13), (2, 15),
+    (3, 11), (3, 12), (4, 7), (4, 8), (4, 14), (5, 8), (5, 9), (5, 12),
+    (6, 9), (6, 10), (6, 11), (7, 10), (8, 14), (9, 14), (12, 15), (13, 15),
+]  # fmt: skip
+CUBIC_16_B = [
+    (0, 3), (0, 8), (0, 15), (1, 3), (1, 9), (1, 14), (2, 4), (2, 11),
+    (2, 14), (3, 6), (4, 7), (4, 12), (5, 7), (5, 9), (5, 10), (6, 10),
+    (6, 15), (7, 15), (8, 11), (8, 13), (9, 10), (11, 12), (12, 13), (13, 14),
+]  # fmt: skip
+
 
 class TestIsomorphism:
     def test_matches_networkx_on_atlas(self):
@@ -225,6 +306,20 @@ class TestIsomorphism:
         assert not _isomorphic(a, b) and not _isomorphic(b, a)
         assert _isomorphic(a, a.relabel(list(reversed(range(a.vertex_count)))))
 
+    def test_large_regular_pairs(self):
+        # two random cubic graphs on 16 vertices: all colours agree, so only
+        # the map search tells them apart
+        a = Graph.from_edges(16, CUBIC_16_A)
+        b = Graph.from_edges(16, CUBIC_16_B)
+        perm = list(range(16))
+        random.Random(6).shuffle(perm)
+        c40, c20s = parse_graph_spec("C40"), parse_graph_spec("2xC20")
+        start = time.perf_counter()
+        assert _isomorphic(a, a.relabel(perm)) and _isomorphic(a.relabel(perm), a)
+        assert not _isomorphic(a, b) and not _isomorphic(b, a)
+        assert not _isomorphic(c40, c20s) and not _isomorphic(c20s, c40)
+        assert time.perf_counter() - start < 0.5
+
     def test_import_leaves_networkx_out(self):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH="src")
@@ -233,3 +328,8 @@ class TestIsomorphism:
             [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+
+if __name__ == "__main__":
+    GRID_FILE.parent.mkdir(exist_ok=True)
+    GRID_FILE.write_text("[\n" + ",\n".join(map(json.dumps, rho_grid())) + "\n]\n")
