@@ -26,6 +26,7 @@ Every bracket end is a theorem, so a bracket whose ends meet is ``exact``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -448,6 +449,7 @@ _BRANCHES = (
 _INTERMEDIATE_SPECS = ("K2", "P2", "P3", "P4", "K3", "C4", "C5", "C6", "S3")
 
 
+@functools.lru_cache(maxsize=1024)
 def _rho_base(g, h, compose):
     if g.edge_count == 0:
         raise DomainError("rho(G,H) requires G to have at least one edge")

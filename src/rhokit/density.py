@@ -2,19 +2,27 @@
 
 The core evaluator contracts one tensor index per pattern vertex: each
 vertex contributes its block-mass vector, each edge contributes the block
-weight matrix.  numpy's einsum performs the vertex-elimination dynamic
-program along a greedy order, planned once per (pattern, block count, free
-vertices) and cached.  Where greedy gives up and would join the remaining
-operands over 2**20 or more index combinations in one step, the plan
-slices one vertex instead (as in tensor-network slicing): it loops over
-that vertex's blocks and contracts the rest of the pattern per block.  A
-configurable cap rejects a plan whose size -- its largest intermediate or
-largest step joining three or more operands, times the block count for
-each sliced vertex -- exceeds the cap.  log_density picks one of two
-routes from the input: when every positive term of the density is a normal
-float64 it takes the log of the float contraction; otherwise (constructions
-drive densities toward 0) it scales masses and weights to integers over
-powers of two and counts exactly, the way hom_count counts past int64.
+weight matrix.  The vertex-elimination dynamic program follows numpy's
+greedy einsum path, which is compiled once per (pattern, block count, free
+vertices) into a cached program of steps.  A step joining two operands
+runs the way numpy's bmm_einsum runs it: a one-operand einsum and a
+reshape on each side where needed, np.matmul or np.multiply, then a
+reshape and transpose.  Any other step is one plain np.einsum.  A call
+runs these steps and plans nothing, and it gets the same bits as
+np.einsum(optimize="greedy") on numpy 2.4.  Object operands stay object
+through every step, 0-d results included, so counts past int64 stay
+exact.  Where greedy gives up and would join the remaining operands over
+2**20 or more index combinations in one step, the program slices one
+vertex instead (as in tensor-network slicing): its one step loops over
+that vertex's blocks and runs the rest of the pattern's program per
+block.  A configurable cap rejects a program whose size -- its largest
+intermediate or largest step joining three or more operands, times the
+block count for each sliced vertex -- exceeds the cap.  log_density picks
+one of two routes from the input: when every positive term of the density
+is a normal float64 it takes the log of the float contraction; otherwise
+(constructions drive densities toward 0) it scales masses and weights to
+integers over powers of two and counts exactly, the way hom_count counts
+past int64.
 """
 
 from __future__ import annotations
@@ -49,83 +57,180 @@ def enumeration_cap():
 
 
 class _Plan(NamedTuple):
-    expr: str
-    path: list  # np.einsum_path's greedy path, led by "einsum_path"
-    edge_count: int
+    steps: tuple  # _Einsum, _Pair or _Sliced, run in order
+    edge_count: int  # operands are the vertex factors, then weights once per edge
     size: int  # index space of the largest intermediate or multi-operand join
 
 
+class _Einsum(NamedTuple):
+    """One plain np.einsum, numpy's C kernel, over the operands it pops."""
+
+    positions: tuple  # operand list positions, popped in this order
+    eq: str
+
+
+class _Pair(NamedTuple):
+    """Two operands joined the way numpy's bmm_einsum joins them: each side
+    summed or transposed by a one-operand einsum and reshaped, where needed,
+    then one np.matmul or np.multiply, reshaped and transposed to the output."""
+
+    positions: tuple
+    eq_a: str | None
+    shape_a: tuple | None
+    eq_b: str | None
+    shape_b: tuple | None
+    join: np.ufunc  # np.matmul, or np.multiply when no summed index is shared
+    shape: tuple | None
+    perm: tuple | None
+
+
 class _Sliced(NamedTuple):
-    vertex: int  # summed over one block at a time
+    """A sum over the blocks of one summed vertex: per block, plan contracts
+    the rest of the pattern.  The only step of its program."""
+
+    vertex: int
     neighbours: tuple
-    parts: tuple  # (vertices, plan of g.induced(vertices)) covering the rest
-    size: int  # k times the largest part's size
+    rest: tuple  # the other vertices, in the order of plan's factors
+    plan: _Plan
 
 
 @functools.lru_cache(maxsize=1024)
 def _plan(g, k, out_vertices):
-    """Contraction plan of pattern g on k blocks with free out_vertices.
+    """Contraction program of pattern g on k blocks with free out_vertices.
 
     Greedy path search depends only on the expression and the operand
-    shapes, so the cached path is the one optimize="greedy" finds on every
-    call.  Replaying the path on each operand's index set sizes its steps.
-    When greedy finds no pair under its size limit it joins every operand
-    left in one step, whose index space the largest intermediate misses.
-    If that join has at least _SLICE_AT index combinations, the plan slices
-    the summed vertex of highest degree instead: one contraction of the
-    rest of the pattern per block, each planned the same way.
+    shapes, so the program is compiled once from the contraction list that
+    np.einsum(optimize="greedy") would follow (einsum_path returns it with
+    einsum_call=True).  Every shape is known here, so a pairwise step keeps
+    what numpy's bmm_einsum would derive on each call; other steps are one
+    plain einsum.  The result is bit-identical to that call.  When greedy
+    finds no pair under its size limit it joins every operand left in one
+    step, whose index space the largest intermediate misses.  If that join
+    has at least _SLICE_AT index combinations, the program slices the
+    summed vertex of highest degree instead: one contraction of the rest of
+    the pattern per block, planned the same way.
     """
     terms = [_LETTERS[v] for v in range(g.vertex_count)]
     terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
     out = "".join(_LETTERS[v] for v in out_vertices)
-    expr = ",".join(terms) + "->" + out
     blanks = [np.empty(k)] * g.vertex_count + [np.empty((k, k))] * g.edge_count
-    path, _ = np.einsum_path(expr, *blanks, optimize="greedy")
+    _, contractions = np.einsum_path(
+        ",".join(terms) + "->" + out, *blanks, optimize="greedy", einsum_call=True
+    )
 
-    sets = [set(t) for t in terms]
+    steps = []
     largest_intermediate = largest_join = 0
-    for step in path[1:]:
-        joined = [sets.pop(i) for i in sorted(step, reverse=True)]
-        idx = set().union(*joined)
-        kept = idx & set(out).union(*sets)
-        largest_intermediate = max(largest_intermediate, k ** len(kept))
+    for positions, eq, _ in contractions:
+        inputs, result = eq.split("->")
+        joined = inputs.split(",")
+        largest_intermediate = max(largest_intermediate, k ** len(result))
         if len(joined) >= 3:
-            largest_join = max(largest_join, k ** len(idx))
-        sets.append(kept)
+            largest_join = max(largest_join, k ** len(set(inputs) - {","}))
+        if len(joined) == 2:
+            steps.append(_pair(positions, *joined, result, k))
+        else:
+            steps.append(_Einsum(positions, eq))
 
     summed = [v for v in range(g.vertex_count) if v not in out_vertices]
     if largest_join < _SLICE_AT or not summed:
-        return _Plan(expr, path, g.edge_count, max(largest_intermediate, largest_join))
+        return _Plan(tuple(steps), g.edge_count, max(largest_intermediate, largest_join))
     degrees = g.degrees()
     v = max(summed, key=lambda u: (degrees[u], -u))
-    neighbours = tuple(sorted(g.neighbors(v)))
-    rest = [u for u in range(g.vertex_count) if u != v]
-    groups = [rest]
-    if not out_vertices:
-        # one part per component: numpy's einsum cannot multiply two fully
-        # summed object operands, which exact counts past int64 use
-        groups = [[rest[i] for i in c] for c in g.induced(rest).components()]
-    parts = tuple(
-        (tuple(vs), _plan(g.induced(vs), k, tuple(vs.index(u) for u in out_vertices)))
-        for vs in groups
+    rest = tuple(u for u in range(g.vertex_count) if u != v)
+    plan = _plan(g.induced(rest), k, tuple(rest.index(u) for u in out_vertices))
+    sliced = _Sliced(v, tuple(sorted(g.neighbors(v))), rest, plan)
+    return _Plan((sliced,), 0, k * plan.size)
+
+
+def _pair(positions, a, b, out, k):
+    """The _Pair step for a,b->out when every axis has length k.
+
+    numpy's bmm_einsum leaves out axes of length 1, so for k = 1 no index
+    is summed between the sides and the join is a broadcast multiply.
+    """
+    summed = [ix for ix in a if ix in b and ix not in out] if k > 1 else []
+    if not summed:
+
+        def side(t):
+            kept = "".join(ix for ix in out if ix in t)
+            return _reorder(t, kept), [k if ix in t else 1 for ix in out]
+
+        return _Pair(positions, *side(a), *side(b), np.multiply, None, None)
+    batch = [ix for ix in a if ix in b and ix in out]
+    a_kept = [ix for ix in a if ix not in b and ix in out]
+    b_kept = [ix for ix in b if ix not in a and ix in out]
+    # matmul of (batch, rows, inner) by (batch, inner, columns), fused
+    groups_a = (batch, a_kept, summed)
+    groups_b = (batch, summed, b_kept)
+    groups_out = (batch, a_kept, b_kept)
+    if not batch:  # numpy leaves the batch axis out
+        groups_a, groups_b, groups_out = groups_a[1:], groups_b[1:], groups_out[1:]
+    produced = "".join(batch + a_kept + b_kept)
+    return _Pair(
+        positions,
+        _reorder(a, "".join(batch + a_kept + summed)),
+        _fused(groups_a, k),
+        _reorder(b, "".join(batch + summed + b_kept)),
+        _fused(groups_b, k),
+        np.matmul,
+        None if _fused(groups_out, k) is None else (k,) * len(produced),
+        tuple(produced.index(ix) for ix in out) if produced != out else None,
     )
-    return _Sliced(v, neighbours, parts, k * max(p.size for _, p in parts))
+
+
+def _reorder(term, desired):
+    return None if term == desired else f"{term}->{desired}"
+
+
+def _fused(groups, k):
+    """One axis per index group, unless every group is already one axis."""
+    if all(len(group) == 1 for group in groups):
+        return None
+    return tuple(k ** len(group) for group in groups)
+
+
+def _keep(x):
+    """x, except that a bare Python int becomes a 0-d object array.
+
+    numpy returns the 0-d result of object operands as a bare int, and a
+    reshape or multiply would turn that into an int64, which wraps.
+    """
+    return np.array(x, dtype=object) if type(x) is int else x
 
 
 def _evaluate(plan, factors, weights):
-    if isinstance(plan, _Plan):
-        return np.einsum(plan.expr, *factors, *[weights] * plan.edge_count, optimize=plan.path)
-    total = 0
-    for b, mass in enumerate(factors[plan.vertex]):
-        sliced = list(factors)
-        # weights is symmetric, so row b serves edges (vertex, u) and (u, vertex)
-        for u in plan.neighbours:
-            sliced[u] = factors[u] * weights[b]
-        term = mass
-        for vertices, part in plan.parts:
-            term = term * _evaluate(part, [sliced[u] for u in vertices], weights)
-        total = total + term
-    return total
+    """Run plan's steps on its operand list; each step pops its operands and
+    appends its result, and the last result is the contraction."""
+    ops = [*factors, *[weights] * plan.edge_count]
+    for step in plan.steps:
+        kind = type(step)
+        if kind is _Pair:
+            (i, j), eq_a, shape_a, eq_b, shape_b, join, shape, perm = step
+            a = ops.pop(i)
+            b = ops.pop(j)
+            if eq_a is not None:
+                a = _keep(np.einsum(eq_a, a))
+            if shape_a is not None:
+                a = a.reshape(shape_a)
+            if eq_b is not None:
+                b = _keep(np.einsum(eq_b, b))
+            if shape_b is not None:
+                b = b.reshape(shape_b)
+            r = join(a, b)
+            if shape is not None:
+                r = r.reshape(shape)
+            if perm is not None:
+                r = r.transpose(perm)
+        elif kind is _Einsum:
+            r = np.einsum(step.eq, *[ops.pop(i) for i in step.positions])
+        else:  # _Sliced
+            r = 0
+            for b, mass in enumerate(ops[step.vertex]):
+                # weights is symmetric, so row b serves edges (vertex, u) and (u, vertex)
+                rest = [ops[u] * weights[b] if u in step.neighbours else ops[u] for u in step.rest]
+                r = r + mass * _evaluate(step.plan, rest, weights)
+        ops.append(_keep(r))
+    return ops[-1]
 
 
 def _contract(g, vertex_factors, weights, out_vertices=()):
@@ -150,8 +255,8 @@ def _contract(g, vertex_factors, weights, out_vertices=()):
             f"combinations, over the enumeration cap {cap}"
         )
     result = _evaluate(plan, vertex_factors, weights)
-    # item() keeps integer counts exact; object contractions may return a bare int
-    return result if out_vertices else np.asarray(result).item()
+    # item() keeps integer counts exact: Python ints from object operands
+    return result if out_vertices else result.item()
 
 
 def hom_count(g, target):
@@ -167,21 +272,7 @@ def hom_count(g, target):
         ones = np.ones(n, dtype=np.int64)
         return _contract(g, [ones] * g.vertex_count, target.adjacency())
     ones = np.ones(n, dtype=object)
-    return _exact_sum(g, [ones] * g.vertex_count, target.adjacency().astype(object))
-
-
-def _exact_sum(g, factors, weights):
-    """Contraction of g over Python-integer factors and weights, exactly.
-
-    numpy's optimized einsum multiplies two fully summed object operands as
-    int64, which wraps, so no contraction may join two components: each is
-    counted on its own.
-    """
-    components = g.components()
-    if len(components) == 1:
-        return _contract(g, factors, weights)
-    parts = ((g.induced(c), [factors[v] for v in c]) for c in components)
-    return math.prod(_contract(p, fs, weights) for p, fs in parts)
+    return _contract(g, [ones] * g.vertex_count, target.adjacency().astype(object))
 
 
 def _as_integers(x):
@@ -217,7 +308,7 @@ def log_density(g, w):
         return math.log(t) if t > 0.0 else -math.inf
     e_m, masses = _as_integers(w.masses)
     e_w, weights = _as_integers(w.weights)
-    count = _exact_sum(g, [masses] * g.vertex_count, weights)
+    count = _contract(g, [masses] * g.vertex_count, weights)
     if count == 0:
         return -math.inf
     return math.log(count) - (g.vertex_count * e_m + g.edge_count * e_w) * math.log(2)

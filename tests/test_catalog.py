@@ -29,7 +29,7 @@ from rhokit import (
     path,
     rho_exact,
 )
-from rhokit.catalog import RhoResult, _isomorphic
+from rhokit.catalog import RhoResult, _isomorphic, _rho_base
 from rhokit.graphs import Graph
 
 
@@ -223,6 +223,13 @@ class TestCatalog:
         res = rho_exact("C4", "C6")
         assert res.status == "interval"
         assert res.upper is not None
+
+    def test_composition_subquery_is_cache_hit(self):
+        rho_exact("C4", "C6")  # an interval, so the composition scan asks rho(C4, P4)
+        before = _rho_base.cache_info()
+        _rho_base(parse_graph_spec("C4"), parse_graph_spec("P4"), compose=False)
+        after = _rho_base.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     @pytest.mark.parametrize(
         "g,h,value",
