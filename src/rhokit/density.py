@@ -8,21 +8,23 @@ vertices) into a cached program of steps.  A step joining two operands
 runs the way numpy's bmm_einsum runs it: a one-operand einsum and a
 reshape on each side where needed, np.matmul or np.multiply, then a
 reshape and transpose.  Any other step is one plain np.einsum.  A call
-runs these steps and plans nothing, and it gets the same bits as
-np.einsum(optimize="greedy") on numpy 2.4.  Object operands stay object
-through every step, 0-d results included, so counts past int64 stay
-exact.  Where greedy gives up and would join the remaining operands over
-2**20 or more index combinations in one step, the program slices one
-vertex instead (as in tensor-network slicing): its one step loops over
-that vertex's blocks and runs the rest of the pattern's program per
-block.  A configurable cap rejects a program whose size -- its largest
-intermediate or largest step joining three or more operands, times the
-block count for each sliced vertex -- exceeds the cap.  log_density picks
-one of two routes from the input: when every positive term of the density
-is a normal float64 it takes the log of the float contraction; otherwise
-(constructions drive densities toward 0) it scales masses and weights to
-integers over powers of two and counts exactly, the way hom_count counts
-past int64.
+runs these steps and plans nothing.  On numpy 2.4, whose optimized einsum
+joins pairs by this batched-matmul scheme, it gets the same bits as
+np.einsum(optimize="greedy"); older releases join pairs by tensordot, and
+there the two agree to rounding.  Object operands stay object through
+every step, 0-d results included, so counts past int64 stay exact.  Where
+greedy gives up and would join the remaining operands over 2**20 or more
+index combinations in one step, the program slices one vertex instead (as
+in tensor-network slicing): its one step loops over that vertex's blocks
+and runs the rest of the pattern per block, one program per connected
+component when no vertex is free.  A configurable cap rejects a program
+whose size -- its largest intermediate or largest step joining three or
+more operands, times the block count for each sliced vertex -- exceeds
+the cap.  log_density picks one of two routes from the input: when every
+positive term of the density is a normal float64 it takes the log of the
+float contraction; otherwise (constructions drive densities toward 0) it
+scales masses and weights to integers over powers of two and counts
+exactly, the way hom_count counts past int64.
 """
 
 from __future__ import annotations
@@ -85,13 +87,13 @@ class _Pair(NamedTuple):
 
 
 class _Sliced(NamedTuple):
-    """A sum over the blocks of one summed vertex: per block, plan contracts
-    the rest of the pattern.  The only step of its program."""
+    """A sum over the blocks of one summed vertex: per block, each part's
+    plan contracts its vertices, and the parts' results multiply.  The only
+    step of its program."""
 
     vertex: int
     neighbours: tuple
-    rest: tuple  # the other vertices, in the order of plan's factors
-    plan: _Plan
+    parts: tuple  # (vertices, plan of g.induced(vertices)) covering the rest
 
 
 @functools.lru_cache(maxsize=1024)
@@ -99,47 +101,60 @@ def _plan(g, k, out_vertices):
     """Contraction program of pattern g on k blocks with free out_vertices.
 
     Greedy path search depends only on the expression and the operand
-    shapes, so the program is compiled once from the contraction list that
-    np.einsum(optimize="greedy") would follow (einsum_path returns it with
-    einsum_call=True).  Every shape is known here, so a pairwise step keeps
+    shapes, so the path np.einsum_path(optimize="greedy") returns is the
+    one np.einsum(optimize="greedy") follows on every call.  Replaying it
+    on the operands' index strings gives each step the operands numpy pops
+    (highest position first) and the index order numpy gives its result:
+    sorted by letter, as every axis has length k, and the requested output
+    on the last step.  Every shape is known here, so a pairwise step keeps
     what numpy's bmm_einsum would derive on each call; other steps are one
-    plain einsum.  The result is bit-identical to that call.  When greedy
-    finds no pair under its size limit it joins every operand left in one
-    step, whose index space the largest intermediate misses.  If that join
-    has at least _SLICE_AT index combinations, the program slices the
-    summed vertex of highest degree instead: one contraction of the rest of
-    the pattern per block, planned the same way.
+    plain einsum.  When greedy finds no pair under its size limit it joins
+    every operand left in one step, whose index space the largest
+    intermediate misses.  If that join has at least _SLICE_AT index
+    combinations, the program slices the summed vertex of highest degree
+    instead: one contraction of the rest of the pattern per block, planned
+    the same way, one part per connected component when no vertex is free.
     """
     terms = [_LETTERS[v] for v in range(g.vertex_count)]
     terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
     out = "".join(_LETTERS[v] for v in out_vertices)
     blanks = [np.empty(k)] * g.vertex_count + [np.empty((k, k))] * g.edge_count
-    _, contractions = np.einsum_path(
-        ",".join(terms) + "->" + out, *blanks, optimize="greedy", einsum_call=True
-    )
+    path, _ = np.einsum_path(",".join(terms) + "->" + out, *blanks, optimize="greedy")
 
     steps = []
     largest_intermediate = largest_join = 0
-    for positions, eq, _ in contractions:
-        inputs, result = eq.split("->")
-        joined = inputs.split(",")
+    for n, step in enumerate(path[1:], 2):
+        positions = tuple(sorted(step, reverse=True))
+        joined = [terms.pop(i) for i in positions]
+        result = out
+        if n < len(path):
+            result = "".join(sorted(set("".join(joined)) & set(out).union(*terms)))
+        terms.append(result)
         largest_intermediate = max(largest_intermediate, k ** len(result))
         if len(joined) >= 3:
-            largest_join = max(largest_join, k ** len(set(inputs) - {","}))
+            largest_join = max(largest_join, k ** len(set("".join(joined))))
         if len(joined) == 2:
             steps.append(_pair(positions, *joined, result, k))
         else:
-            steps.append(_Einsum(positions, eq))
+            steps.append(_Einsum(positions, ",".join(joined) + "->" + result))
 
     summed = [v for v in range(g.vertex_count) if v not in out_vertices]
     if largest_join < _SLICE_AT or not summed:
         return _Plan(tuple(steps), g.edge_count, max(largest_intermediate, largest_join))
     degrees = g.degrees()
     v = max(summed, key=lambda u: (degrees[u], -u))
-    rest = tuple(u for u in range(g.vertex_count) if u != v)
-    plan = _plan(g.induced(rest), k, tuple(rest.index(u) for u in out_vertices))
-    sliced = _Sliced(v, tuple(sorted(g.neighbors(v))), rest, plan)
-    return _Plan((sliced,), 0, k * plan.size)
+    rest = [u for u in range(g.vertex_count) if u != v]
+    groups = [rest]
+    if not out_vertices:
+        # one part per component: greedy gives up on each component that is
+        # too dense, and one join of them all would nest a slice per part
+        groups = [[rest[i] for i in c] for c in g.induced(rest).components()]
+    parts = tuple(
+        (tuple(vs), _plan(g.induced(vs), k, tuple(vs.index(u) for u in out_vertices)))
+        for vs in groups
+    )
+    sliced = _Sliced(v, tuple(sorted(g.neighbors(v))), parts)
+    return _Plan((sliced,), 0, k * max(p.size for _, p in parts))
 
 
 def _pair(positions, a, b, out, k):
@@ -226,9 +241,14 @@ def _evaluate(plan, factors, weights):
         else:  # _Sliced
             r = 0
             for b, mass in enumerate(ops[step.vertex]):
+                sliced = list(ops)
                 # weights is symmetric, so row b serves edges (vertex, u) and (u, vertex)
-                rest = [ops[u] * weights[b] if u in step.neighbours else ops[u] for u in step.rest]
-                r = r + mass * _evaluate(step.plan, rest, weights)
+                for u in step.neighbours:
+                    sliced[u] = ops[u] * weights[b]
+                term = mass
+                for vertices, part in step.parts:
+                    term = term * _evaluate(part, [sliced[u] for u in vertices], weights)
+                r = r + term
         ops.append(_keep(r))
     return ops[-1]
 

@@ -354,6 +354,16 @@ class TestSlicing:
         assert hom_count(parse_graph_spec("2xK4"), complete(40)) == (40 * 39 * 38 * 37) ** 2
         assert time.perf_counter() - start < 2.0
 
+    def test_sliced_components_planned_apart(self):
+        # one part per component of the rest: K3 and two K4s, each K4 sliced
+        # on its own (40 * 40 * 40**2 index combinations); one program for
+        # all three would nest three slices, 40**3 * 40**2, over the cap
+        g, t = parse_graph_spec("3xK4"), complete(40)
+        assert _plan(g, 40, ()).size == 40**4
+        assert hom_count(g, t) == (40 * 39 * 38 * 37) ** 3 > 2**63
+        w = random_graphon(40, seed=12)
+        assert density(g, w) == pytest.approx(density(complete(4), w) ** 3, rel=1e-12)
+
     def test_sliced_vertex_with_pendants_exact_past_int64(self):
         # slicing the hub leaves 15 isolated vertices, counted in Python ints
         k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -386,7 +396,7 @@ class TestSlicing:
         w = random_graphon(2, seed=2)
         with slice_at(1):
             plan = _plan(complete(5), 2, ())
-            assert sliced(plan) and sliced(sliced(plan).plan)
+            assert sliced(plan) and sliced(sliced(plan).parts[0][1])
             assert density(complete(5), w) == pytest.approx(density_oracle(complete(5), w))
 
 
