@@ -31,12 +31,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .density import delta_index, hom_count, independence_number
+from .density import delta_index, hom_count, independence_number, json_number
 from .errors import DomainError
 from .graphs import (
-    Graph,
     as_complete,
     as_cycle,
+    as_graph,
     as_hub,
     as_multipartite,
     as_path,
@@ -74,12 +74,7 @@ class RhoResult:
         object.__setattr__(self, "provenance", tuple(self.provenance))
 
     def to_json(self):
-        def num(x):
-            # infinities are encoded by the status field, not a JSON token
-            if x is None or (isinstance(x, float) and not math.isfinite(x)):
-                return None
-            return float(x)
-
+        # infinities are encoded by the status field, not a JSON token
         def exact(x):
             if isinstance(x, Fraction):
                 return f"{x.numerator}/{x.denominator}"
@@ -89,9 +84,9 @@ class RhoResult:
 
         out = {
             "status": self.status,
-            "value": num(self.value),
-            "lower": num(self.lower),
-            "upper": num(self.upper),
+            "value": json_number(self.value),
+            "lower": json_number(self.lower),
+            "upper": json_number(self.upper),
             "provenance": list(self.provenance),
         }
         for name, x in (("value", self.value), ("lower", self.lower), ("upper", self.upper)):
@@ -163,7 +158,7 @@ def majorization_chain(a, b):
 
 def finiteness(g, h):
     """rho(G,H) is finite exactly when hom(H,G) > 0.  G must be nonempty."""
-    g, h = _coerce(g), _coerce(h)
+    g, h = as_graph(g), as_graph(h)
     if g.edge_count == 0:
         raise DomainError("rho(G,H) requires G to have at least one edge")
     return hom_count(h, g) > 0
@@ -171,7 +166,7 @@ def finiteness(g, h):
 
 def general_lower_bounds(g, h):
     """Best of the four universal construction lower bounds."""
-    g, h = _coerce(g), _coerce(h)
+    g, h = as_graph(g), as_graph(h)
     bounds = [Fraction(h.edge_count, g.edge_count), Fraction(h.vertex_count, g.vertex_count)]
     if g.is_connected() and h.is_connected() and g.vertex_count >= 2:
         bounds.append(Fraction(h.vertex_count - 1, g.vertex_count - 1))
@@ -189,7 +184,7 @@ def blowup_upper_bound(g, h, budget=2_000_000):
     search finds the least product; returns None when there is no
     homomorphism or when more than ``budget`` candidate images were tried.
     """
-    g, h = _coerce(g), _coerce(h)
+    g, h = as_graph(g), as_graph(h)
     best = _least_blowup(h, g, math.inf, [range(g.vertex_count)] * h.vertex_count, budget)
     return None if best is None else Fraction(best)
 
@@ -252,12 +247,6 @@ def _bfs_order(nbrs):
 
 # ---------------------------------------------------------------------------
 # family dispatch
-
-
-def _coerce(spec):
-    if isinstance(spec, Graph):
-        return spec
-    return parse_graph_spec(spec)
 
 
 def _isomorphic(g, h):
@@ -468,7 +457,6 @@ def _rho_base(g, h, compose):
     if not results:
         results = [RhoResult("unknown", lower=glb, upper=None, provenance=("construction-lower",))]
     winner = results.pop(next((i for i, r in enumerate(results) if r.status == "exact"), 0))
-    extra_tags = [t for res in results for t in res.provenance]
 
     if winner.status in ("interval", "unknown"):
         winner = _tighten(g, h, winner, glb, compose)
@@ -476,13 +464,9 @@ def _rho_base(g, h, compose):
             # both ends are theorems, so a closed bracket is the value
             winner = RhoResult("exact", value=winner.lower, provenance=winner.provenance)
 
-    if extra_tags:
-        seen = list(winner.provenance)
-        for t in extra_tags:
-            if t not in seen:
-                seen.append(t)
-        winner = RhoResult(winner.status, winner.value, winner.lower, winner.upper, tuple(seen))
-    return winner
+    # each tag once, where it first appears
+    tags = dict.fromkeys(winner.provenance + tuple(t for res in results for t in res.provenance))
+    return RhoResult(winner.status, winner.value, winner.lower, winner.upper, tuple(tags))
 
 
 def _upper_of(res):
@@ -496,33 +480,28 @@ def _upper_of(res):
 def _tighten(g, h, res, glb, compose):
     lower = max(res.lower, glb) if res.lower is not None else glb
     upper = res.upper
-    tags = list(res.provenance)
+    tags = list(res.provenance)  # _rho_base drops repeats
 
     bub = blowup_upper_bound(g, h)
     if bub is None:
         tags.append("blowup-budget-exhausted")  # hom(H,G) > 0 here
     elif (upper is None or bub < upper) and bub >= lower:
         upper = bub
-        if "blowup-upper" not in tags:
-            tags.append("blowup-upper")
+        tags.append("blowup-upper")
 
     if compose:
         for spec in _INTERMEDIATE_SPECS:
             mid = parse_graph_spec(spec)
             if _isomorphic(mid, g) or _isomorphic(mid, h):
                 continue
-            try:
-                u1 = _upper_of(_rho_base(g, mid, compose=False))
-                u2 = _upper_of(_rho_base(mid, h, compose=False))
-            except DomainError:
-                continue
+            u1 = _upper_of(_rho_base(g, mid, compose=False))
+            u2 = _upper_of(_rho_base(mid, h, compose=False))
             if u1 is None or u2 is None:
                 continue
             cand = u1 * u2
             if (upper is None or cand < upper) and cand >= lower:
                 upper = cand
-                if "composition-upper" not in tags:
-                    tags.append("composition-upper")
+                tags.append("composition-upper")
 
     return RhoResult(res.status, res.value, lower, upper, tuple(tags))
 
@@ -530,5 +509,4 @@ def _tighten(g, h, res, glb, compose):
 def rho_exact(g_spec, h_spec):
     """Catalog lookup: dispatch (G,H) over the known graph families and
     return the best known value, bracket or conjecture with provenance."""
-    g, h = _coerce(g_spec), _coerce(h_spec)
-    return _rho_base(g, h, compose=True)
+    return _rho_base(as_graph(g_spec), as_graph(h_spec), compose=True)

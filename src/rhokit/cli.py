@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from .catalog import rho_exact
@@ -24,7 +23,7 @@ from .errors import (
     GraphSpecError,
     RhokitError,
 )
-from .graphs import WeightedGraph, parse_graph_spec
+from .graphs import WeightedGraph, parse_count, parse_graph_spec
 from .search import SearchConfig, search_lower_bound
 from .verify import SUITES, reports_to_junit, run_all_suites, run_suite
 
@@ -47,13 +46,26 @@ def _load_graphon(spec):
     scale = 1
     if "@" in body:
         body, scale_s = body.rsplit("@", 1)
-        scale = int(float(scale_s))
+        scale = parse_count(scale_s, "scale")
     parts = body.split(":")
     kind = parts[0]
-    params = tuple(float(p) for p in parts[1].split(",")) if len(parts) > 1 else ()
-    if kind not in KINDS:
-        raise DomainError(f"unknown builtin graphon kind {kind!r}; known: {KINDS}")
+    try:
+        params = tuple(float(p) for p in parts[1].split(",")) if len(parts) > 1 else ()
+    except ValueError:
+        raise DomainError(f"builtin graphon parameters {parts[1]!r} are not numbers") from None
     return ConstructionFamily(kind, params).at_scale(scale)
+
+
+def _comma_list(item):
+    """argparse type for a comma-separated list of item(part)."""
+
+    def parse(text):
+        try:
+            return tuple(item(part) for part in text.split(","))
+        except ValueError as exc:  # DomainError included
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _cmd_density(args):
@@ -77,9 +89,8 @@ def _cmd_rho(args):
 
 
 def _cmd_certify(args):
-    scales = [int(float(s)) for s in args.scales.split(",")]
     family = ConstructionFamily(args.family, tuple(args.params or ()))
-    report = certify_lower_bound(args.g, args.h, family, scales, claimed=args.claimed)
+    report = certify_lower_bound(args.g, args.h, family, args.scales, claimed=args.claimed)
     if args.format == "csv":
         report.write_csv(sys.stdout)
     elif args.format == "text":
@@ -109,7 +120,7 @@ def _cmd_verify(args):
 
 def _cmd_search(args):
     cfg = SearchConfig(
-        block_counts=tuple(int(b) for b in args.blocks.split(",")),
+        block_counts=args.blocks,
         restarts=args.restarts,
         iterations=args.iterations,
         seed=args.seed,
@@ -119,13 +130,9 @@ def _cmd_search(args):
         with open(args.out, "w") as fh:
             result.best_graphon.dump(fh)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["g", "h", "best_ratio", "catalog_upper", "restarts", "blocks"])
-        writer.writerow(
-            [result.g_spec, result.h_spec, result.best_ratio,
-             "" if math.isinf(result.catalog_upper) else result.catalog_upper,
-             result.restarts, result.best_graphon.block_count]
-        )
+        columns = ("g", "h", "best_ratio", "catalog_upper", "restarts", "blocks")
+        row = result.to_json()
+        csv.writer(sys.stdout).writerows([columns, [row[c] for c in columns]])
     elif args.format == "text":
         print(f"best ratio {result.best_ratio} (catalog upper {result.catalog_upper})")
     else:
@@ -133,8 +140,13 @@ def _cmd_search(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # reported like any other malformed input
+        raise DomainError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rhokit",
         description="Homomorphism densities and density domination exponents.",
     )
@@ -157,7 +169,8 @@ def _build_parser():
     p.add_argument("h")
     p.add_argument("--family", required=True, choices=KINDS)
     p.add_argument("--params", type=float, nargs="*")
-    p.add_argument("--scales", required=True, help="comma-separated scales")
+    p.add_argument("--scales", required=True, type=_comma_list(lambda s: parse_count(s, "scale")),
+                   help="comma-separated scales")
     p.add_argument("--claimed", type=float, default=None)
     p.set_defaults(fn=_cmd_certify)
 
@@ -171,7 +184,7 @@ def _build_parser():
     p = sub.add_parser("search", help="gradient search for a rho lower bound")
     p.add_argument("g")
     p.add_argument("h")
-    p.add_argument("--blocks", default="2,3")
+    p.add_argument("--blocks", default=(2, 3), type=_comma_list(int))
     p.add_argument("--restarts", type=int, default=6)
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -181,13 +194,11 @@ def _build_parser():
 
 
 def run_cli(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code == 0 else 2
     except GraphSpecError as exc:
         return _fail("graph-spec", str(exc))
     except DiscrepancyError as exc:

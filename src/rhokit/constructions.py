@@ -11,20 +11,21 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .density import log_density
+from .density import json_number, log_density
 from .errors import DegenerateDensityError, DomainError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, as_graph
 
-KINDS = (
-    "constant_p",
-    "half_block",
-    "two_clique",
-    "looped_star",
-    "paw_family",
-    "clique_pendant_star",
-    "looped_vertex",
-    "kpartite_unbalanced",
-)
+_PARAM_COUNTS = {
+    "constant_p": 1,
+    "half_block": 0,
+    "two_clique": 0,
+    "looped_star": 0,
+    "paw_family": 0,
+    "clique_pendant_star": 1,
+    "looped_vertex": 0,
+    "kpartite_unbalanced": 2,
+}
+KINDS = tuple(_PARAM_COUNTS)
 
 
 def build_construction(kind, params, n):
@@ -41,7 +42,7 @@ def build_construction(kind, params, n):
     * kpartite_unbalanced(k, i): complete k-partite, i big parts of relative
       mass n and k-i parts of relative mass 1.
     """
-    params = list(params)
+    params = ConstructionFamily(kind, params).params  # kind and parameters checked
     if n < 1:
         raise DomainError("scale n must be >= 1")
     n = float(n)
@@ -82,15 +83,14 @@ def build_construction(kind, params, n):
         if n < 2:
             raise DomainError("looped_vertex needs n >= 2")
         return WeightedGraph([1.0 / n, (n - 1) / n], [[1.0, 0.0], [0.0, 0.0]])
-    if kind == "kpartite_unbalanced":
-        k, i = int(params[0]), int(params[1])
-        if not (1 <= i <= k):
-            raise DomainError("need 1 <= i <= k")
-        total = i * n + (k - i)
-        masses = [n / total] * i + [1.0 / total] * (k - i)
-        weights = [[0.0 if r == c else 1.0 for c in range(k)] for r in range(k)]
-        return WeightedGraph(masses, weights)
-    raise DomainError(f"unknown construction kind {kind!r}")
+    # kpartite_unbalanced
+    k, i = int(params[0]), int(params[1])
+    if not (1 <= i <= k):
+        raise DomainError("need 1 <= i <= k")
+    total = i * n + (k - i)
+    masses = [n / total] * i + [1.0 / total] * (k - i)
+    weights = [[0.0 if r == c else 1.0 for c in range(k)] for r in range(k)]
+    return WeightedGraph(masses, weights)
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,9 @@ class ConstructionFamily:
         if self.kind not in KINDS:
             raise DomainError(f"unknown construction kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(self.params))
+        count = _PARAM_COUNTS[self.kind]
+        if len(self.params) != count or not all(map(math.isfinite, self.params)):
+            raise DomainError(f"{self.kind} takes {count} finite parameter(s), got {self.params}")
 
     def at_scale(self, n):
         return build_construction(self.kind, self.params, n)
@@ -131,21 +134,23 @@ class CertificateReport:
             "g": self.g_spec,
             "h": self.h_spec,
             "family": {"kind": self.family.kind, "params": list(self.family.params)},
-            "claimed": self.claimed,
-            "achieved": self.achieved,
-            "gap": self.gap,
+            "claimed": json_number(self.claimed),
+            "achieved": json_number(self.achieved),
+            "gap": json_number(self.gap),
             "schedule": [
-                {"scale": s, "log_t_g": lg, "log_t_h": lh, "ratio": r}
+                {"scale": s, "log_t_g": lg, "log_t_h": json_number(lh), "ratio": json_number(r)}
                 for s, lg, lh, r in self.schedule
             ],
             "skipped_scales": list(self.skipped),
         }
 
     def write_csv(self, fh):
+        """The schedule as CSV, in logs: t itself underflows to 0.0 at large
+        scales.  A -inf log or an infinite ratio is an empty cell."""
         writer = csv.writer(fh)
-        writer.writerow(["scale", "t_G", "t_H", "ratio"])
+        writer.writerow(["scale", "log_t_G", "log_t_H", "ratio"])
         for s, lg, lh, r in self.schedule:
-            writer.writerow([s, math.exp(lg), math.exp(lh), r])
+            writer.writerow([s, lg, json_number(lh), json_number(r)])
 
 
 def certify_lower_bound(g, h, family, schedule, claimed=None):
@@ -155,10 +160,7 @@ def certify_lower_bound(g, h, family, schedule, claimed=None):
     skipped.  Convergence is not assumed to be monotone: `achieved` is the
     best ratio seen anywhere on the schedule.
     """
-    from .graphs import Graph, parse_graph_spec
-
-    g_graph = g if isinstance(g, Graph) else parse_graph_spec(g)
-    h_graph = h if isinstance(h, Graph) else parse_graph_spec(h)
+    g_graph, h_graph = as_graph(g), as_graph(h)
     rows = []
     skipped = []
     for scale in schedule:

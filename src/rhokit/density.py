@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DiscrepancyError, DomainError, EnumerationCapError
-from .graphs import Graph, path
+from .graphs import Graph, parse_count, path
 
 DEFAULT_ENUM_CAP = 10**8
 # a give-up join this large is sliced; smaller ones keep numpy's greedy path
@@ -53,9 +53,7 @@ _LETTERS = string.ascii_letters
 def enumeration_cap():
     """Current enumeration cap; override with env var RHOKIT_ENUM_CAP."""
     raw = os.environ.get("RHOKIT_ENUM_CAP")
-    if raw:
-        return int(float(raw))
-    return DEFAULT_ENUM_CAP
+    return parse_count(raw, "RHOKIT_ENUM_CAP") if raw else DEFAULT_ENUM_CAP
 
 
 class _Plan(NamedTuple):
@@ -334,6 +332,14 @@ def log_density(g, w):
     return math.log(count) - (g.vertex_count * e_m + g.edge_count * e_w) * math.log(2)
 
 
+def json_number(x):
+    """x as a JSON number: a float, or None for None, NaN and +-inf, which JSON
+    has no token for (a zero density has log -inf, and a ratio of logs can be inf)."""
+    if x is None or not math.isfinite(x):
+        return None
+    return float(x)
+
+
 def spectrum(w):
     """Eigenvalues of the symmetrized mass-weighted kernel
     D^{1/2} weights D^{1/2}, D = diag(masses)."""
@@ -350,24 +356,11 @@ def cycle_density_spectral(k, w):
     return float(np.sum(lam**k))
 
 
-def common_neighborhood_mass(blocks, w):
-    """Mass of the common neighborhood of a multiset of blocks:
-    sum_u mu_u * prod_{v in blocks} weights[v, u]."""
-    blocks = list(blocks)
-    if not blocks:
-        raise DomainError("block multiset must be nonempty")
-    k = w.block_count
-    if any(not (0 <= b < k) for b in blocks):
-        raise DomainError(f"block index out of range for {k} blocks")
-    prod = np.ones(k)
-    for b in blocks:
-        prod = prod * w.weights[b]
-    return float(np.dot(w.masses, prod))
-
-
 def generalized_star_density(n, x, w):
-    """Density of the star K_{n,x} with a real exponent x >= 0:
-    sum over n-tuples of blocks of (mass product) * (common nbhd mass)^x.
+    """Density of the star K_{n,x} with a real exponent x >= 0: the sum,
+    over n-tuples T of centre blocks, of prod_{v in T} mu_v times d_T^x,
+    where d_T = sum_u mu_u * prod_{v in T} weights[v, u] is the mass of
+    the common neighbourhood of T.
 
     0^0 = 1, so x = 0 always gives 1.
     """
@@ -381,9 +374,11 @@ def generalized_star_density(n, x, w):
     total = 0.0
     for tup in itertools.product(range(k), repeat=n):
         mu = 1.0
+        prod = np.ones(k)
         for b in tup:
             mu *= w.masses[b]
-        d = common_neighborhood_mass(tup, w)
+            prod = prod * w.weights[b]
+        d = float(np.dot(w.masses, prod))
         total += mu * (1.0 if x == 0 else d**x)
     return float(total)
 
@@ -419,7 +414,7 @@ def delta_index(g, i, vertex_cap=20):
     n = g.vertex_count
     if n > vertex_cap:
         raise EnumerationCapError(f"{n} vertices exceed the delta_index cap {vertex_cap}")
-    nbrs = [g.neighbors(v) for v in range(n)]
+    nbrs = g.neighbor_sets()
     best = 0
     for mask in range(1 << n):
         size = 0
@@ -437,7 +432,7 @@ def independence_number(g, vertex_cap=24):
     n = g.vertex_count
     if n > vertex_cap:
         raise EnumerationCapError(f"{n} vertices exceed the independence cap {vertex_cap}")
-    nbrs = [frozenset(g.neighbors(v)) for v in range(n)]
+    nbrs = g.neighbor_sets()
     best = 0
 
     def grow(candidates, size):

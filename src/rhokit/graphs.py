@@ -66,20 +66,10 @@ class Graph:
         return len(self.edges)
 
     def degrees(self):
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return [len(nbrs) for nbrs in self.neighbor_sets()]
 
     def neighbors(self, v):
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return self.neighbor_sets()[v]
 
     def adjacency(self):
         a = np.zeros((self.vertex_count, self.vertex_count), dtype=np.int64)
@@ -88,6 +78,7 @@ class Graph:
         return a
 
     def neighbor_sets(self):
+        """A fresh neighbour set per vertex; degrees() and neighbors(v) read it."""
         nbrs = [set() for _ in range(self.vertex_count)]
         for u, v in self.edges:
             nbrs[u].add(v)
@@ -315,6 +306,7 @@ def as_hub(g, clique_size):
     n_total = g.vertex_count
     if not 2 <= n <= n_total:
         return None
+    nbrs = g.neighbor_sets()
     for clique in itertools.combinations(range(n_total), n):
         cs = set(clique)
         if any((u, v) not in g.edges for u, v in itertools.combinations(clique, 2)):
@@ -324,7 +316,7 @@ def as_hub(g, clique_size):
         for v in range(n_total):
             if v in cs:
                 continue
-            nb = g.neighbors(v)
+            nb = nbrs[v]
             if len(nb) != n - 1 or not nb <= cs:
                 ok = False
                 break
@@ -364,6 +356,11 @@ def parse_graph_spec(text):
     if not stripped:
         raise GraphSpecError("empty graph spec", text, 0)
     return _parse(stripped, text)
+
+
+def as_graph(spec):
+    """A Graph as given, or the Graph a spec string parses to."""
+    return spec if isinstance(spec, Graph) else parse_graph_spec(spec)
 
 
 def _parse(s, full):
@@ -423,18 +420,27 @@ def _parse(s, full):
     raise GraphSpecError(f"unrecognized graph spec {s!r}", full, bad)
 
 
+def parse_count(text, what):
+    """A count written as an integer or as a float such as 1e6."""
+    try:
+        return int(float(text))
+    except (ValueError, OverflowError):
+        raise DomainError(f"{what} {text!r} is not a finite number") from None
+
+
 def load_edge_list(path_):
     """Read a ``.edges`` file: first line vertex count, then 0-indexed pairs."""
     with open(path_) as fh:
         tokens = fh.read().split()
     if not tokens:
         raise GraphSpecError(f"empty edge file {path_!r}")
-    n = int(tokens[0])
-    rest = tokens[1:]
+    try:
+        n, *rest = [int(t) for t in tokens]
+    except ValueError:
+        raise GraphSpecError(f"edge file {path_!r} holds a token that is not an integer") from None
     if len(rest) % 2 != 0:
         raise GraphSpecError(f"odd number of endpoints in {path_!r}")
-    edges = [(int(rest[i]), int(rest[i + 1])) for i in range(0, len(rest), 2)]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, zip(rest[::2], rest[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +462,15 @@ class WeightedGraph:
         k = masses.size
         if weights.shape != (k, k):
             raise DomainError(f"weights must be {k}x{k}, got {weights.shape}")
-        if np.any(masses <= 0):
-            raise DomainError("masses must be strictly positive")
+        # written so that NaN fails each test; an infinite mass fails the sum
+        if not np.all(masses > 0):
+            raise DomainError("masses must be strictly positive numbers")
         if abs(masses.sum() - 1.0) > MASS_SUM_TOL:
             raise DomainError(f"masses must sum to 1 (got {masses.sum()!r})")
-        if not np.allclose(weights, weights.T, rtol=0, atol=0):
+        if not np.all((weights >= 0) & (weights <= 1)):
+            raise DomainError("weights must be numbers in [0,1]")
+        if not np.array_equal(weights, weights.T):
             raise DomainError("weights must be exactly symmetric")
-        if np.any(weights < 0) or np.any(weights > 1):
-            raise DomainError("weights must lie in [0,1]")
         masses.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "masses", masses)
@@ -513,10 +520,13 @@ class WeightedGraph:
         tokens = fh.read().split()
         if not tokens:
             raise DomainError("empty graphon file")
-        k = int(tokens[0])
-        need = 1 + k + k * k
-        if len(tokens) < need:
-            raise DomainError(f"graphon file needs {need} numbers, found {len(tokens)}")
-        masses = [float(t) for t in tokens[1 : 1 + k]]
-        weights = np.array([float(t) for t in tokens[1 + k : need]]).reshape(k, k)
-        return cls(masses, weights)
+        try:
+            k = int(tokens[0])
+            numbers = [float(t) for t in tokens[1 : 1 + k + k * k]]
+        except ValueError:
+            raise DomainError("graphon file holds a token that is not a number") from None
+        if k < 1:
+            raise DomainError(f"graphon block count must be positive, got {k}")
+        if len(numbers) < k + k * k:
+            raise DomainError(f"graphon file needs {1 + k + k * k} numbers, found {len(tokens)}")
+        return cls(numbers[:k], np.array(numbers[k:]).reshape(k, k))

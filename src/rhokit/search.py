@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _contract, density
+from .density import _contract, density, json_number
 from .errors import DiscrepancyError, DomainError
-from .graphs import Graph, WeightedGraph, parse_graph_spec
+from .graphs import Graph, WeightedGraph, as_graph
 from .verify import PROFILES, sample_weighted_graph
 
 
@@ -117,7 +117,7 @@ class SearchResult:
             "g": self.g_spec,
             "h": self.h_spec,
             "best_ratio": self.best_ratio,
-            "catalog_upper": None if math.isinf(self.catalog_upper) else self.catalog_upper,
+            "catalog_upper": json_number(self.catalog_upper),
             "restarts": self.restarts,
             "blocks": self.best_graphon.block_count,
             "masses": self.best_graphon.masses.tolist(),
@@ -189,10 +189,11 @@ def search_lower_bound(g_spec, h_spec, config=None):
     from .catalog import rho_exact
 
     cfg = config or SearchConfig()
-    g = g_spec if isinstance(g_spec, Graph) else parse_graph_spec(g_spec)
-    h = h_spec if isinstance(h_spec, Graph) else parse_graph_spec(h_spec)
+    g, h = as_graph(g_spec), as_graph(h_spec)
     if g.edge_count == 0 or h.edge_count == 0:
         raise DomainError("search requires both patterns to have edges")
+    if not all(1 <= k <= 8 for k in cfg.block_counts):  # sample_weighted_graph's sizes
+        raise DomainError(f"search block counts must lie in 1..8, got {cfg.block_counts}")
 
     res = rho_exact(g, h)
     upper = math.inf if res.upper is None else float(res.upper)

@@ -25,12 +25,14 @@ from .density import (
     delta_index,
     generalized_path_density,
     generalized_star_density,
+    json_number,
     log_density,
 )
 from .errors import DomainError
 from .graphs import (
     Graph,
     WeightedGraph,
+    as_graph,
     complete,
     cycle,
     cycle_tail,
@@ -104,9 +106,7 @@ def domination_residual(g, h, c, w):
     Returns -inf when t(H,W) = 0 (the inequality fails outright, also when
     t(G,W) = 1); raises when t(G,W) = 0.
     """
-    g = g if isinstance(g, Graph) else parse_graph_spec(g)
-    h = h if isinstance(h, Graph) else parse_graph_spec(h)
-    trial = _dominates(w, g, float(c), [(1, h)], "")
+    trial = _dominates(w, as_graph(g), float(c), [(1, as_graph(h))], "")
     if trial is None:
         raise DomainError("t(G,W) = 0: domination residual undefined")
     return trial.residual
@@ -412,18 +412,16 @@ class SuiteReport:
 
     def to_json(self):
         """JSON form; a NaN (nothing evaluated) or -inf residual becomes null."""
-        def num(x):
-            return None if math.isnan(x) or x == -math.inf else x
-
         return {
             "suite": self.suite,
             "trials": self.trials,
             "evaluated": self.evaluated,
             "skipped": self.skipped,
             "failures": [
-                {"trial": t, "description": d, "residual": num(r)} for t, d, r in self.failures
+                {"trial": t, "description": d, "residual": json_number(r)}
+                for t, d, r in self.failures
             ],
-            "min_residual": num(self.min_residual),
+            "min_residual": json_number(self.min_residual),
             "passed": self.passed,
         }
 

@@ -110,8 +110,31 @@ class TestCertify:
                               "--family", "two_clique", "--scales", "1,10")
         lines = out.strip().splitlines()
         assert code == 0
-        assert lines[0] == "scale,t_G,t_H,ratio"
+        assert lines[0] == "scale,log_t_G,log_t_H,ratio"
         assert len(lines) == 3
+
+    def test_csv_keeps_logs_past_float_underflow(self, capsys):
+        # t(C5, W) underflows to 0.0 at this scale, while its log is finite
+        args = ("certify", "C5", "C3", "--family", "looped_star", "--scales", "1e150")
+        code, out, _ = invoke(capsys, "--format", "csv", *args)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header == "scale,log_t_G,log_t_H,ratio"
+        (entry,) = json.loads(invoke(capsys, *args)[1])["schedule"]
+        assert [float(x) for x in row.split(",")[1:]] == [
+            entry["log_t_g"], entry["log_t_h"], entry["ratio"]
+        ]
+        assert entry["log_t_g"] < -700
+
+    def test_infinite_ratio_is_null(self, capsys):
+        # bipartite W: t(C5, W) = 0, so log t(H, W) = -inf and the ratio is +inf
+        code, out, _ = invoke(capsys, "certify", "K2", "C5", "--family", "kpartite_unbalanced",
+                              "--params", "2", "1", "--scales", "10,100")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema("certificate_report"))
+        assert [(r["log_t_h"], r["ratio"]) for r in payload["schedule"]] == [(None, None)] * 2
+        assert payload["achieved"] is None
 
     def test_degenerate_exit_2(self, capsys):
         code, _, err = invoke(capsys, "certify", "C3", "C4", "--family", "constant_p",
@@ -194,6 +217,57 @@ class TestSearch:
         lines = out.strip().splitlines()
         assert code == 0
         assert lines[0] == "g,h,best_ratio,catalog_upper,restarts,blocks"
+
+
+def assert_input_error(capsys, args, code):
+    """Exit 2, nothing on stdout, and one line of JSON with the code on stderr."""
+    got, out, err = invoke(capsys, *args)
+    assert (got, out) == (2, "")
+    line, = err.splitlines()
+    assert json.loads(line)["code"] == code
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("certify", "C3", "C4", "--family", "two_clique", "--scales", "1e400"),
+            ("certify", "C3", "C4", "--family", "two_clique", "--scales", "abc"),
+            ("search", "C3", "C4", "--blocks", "x"),
+            ("search", "C3", "C4", "--blocks", "0"),
+            ("density", "K2", "--graphon", "builtin:constant_p:abc"),
+            ("density", "K2", "--graphon", "builtin:looped_star@abc"),
+            ("certify", "C3", "C4", "--family", "constant_p", "--scales", "1"),
+        ],
+        ids=["scale-overflow", "scale-abc", "blocks-x", "blocks-0", "builtin-param-abc",
+             "builtin-scale-abc", "constant_p-without-params"],
+    )
+    def test_argument(self, capsys, args):
+        assert_input_error(capsys, args, "domain")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["-1\n", "2\nabc 0.5\n1 0\n0 0\n", "2\nnan 0.5\n1 0\n0 0\n"],
+        ids=["negative-block-count", "abc", "nan-mass"],
+    )
+    def test_graphon_file(self, capsys, tmp_path, text):
+        f = tmp_path / "w.graphon"
+        f.write_text(text)
+        assert_input_error(capsys, ("density", "K2", "--graphon", str(f)), "domain")
+
+    def test_edge_file(self, capsys, tmp_path):
+        f = tmp_path / "g.edges"
+        f.write_text("3\n0 1\n1 x\n")
+        assert_input_error(capsys, ("rho", f"@{f}", "P2"), "graph-spec")
+
+    def test_enumeration_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("RHOKIT_ENUM_CAP", "abc")
+        assert_input_error(capsys, ("density", "K2", "--graphon", "builtin:half_block"), "domain")
+
+    def test_search_checks_its_block_counts(self, capsys):
+        code, _, err = invoke(capsys, "search", "C3", "C4", "--blocks", "2,9")
+        assert code == 2
+        assert "search block counts" in json.loads(err)["message"]
 
 
 class TestUsage:

@@ -53,6 +53,14 @@ class TestBuildConstruction:
         with pytest.raises(DomainError):
             ConstructionFamily("mystery")
 
+    @pytest.mark.parametrize(
+        "kind, params, expected",
+        [("constant_p", (), 1), ("kpartite_unbalanced", (2,), 2), ("half_block", (5,), 0)],
+    )
+    def test_parameter_count(self, kind, params, expected):
+        with pytest.raises(DomainError, match=f"takes {expected} finite parameter"):
+            ConstructionFamily(kind, params)
+
     def test_kpartite_unbalanced(self):
         w = build_construction("kpartite_unbalanced", [3, 1], 10)
         assert w.block_count == 3
@@ -99,7 +107,7 @@ class TestCertification:
         buf = io.StringIO()
         rep.write_csv(buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "scale,t_G,t_H,ratio"
+        assert lines[0] == "scale,log_t_G,log_t_H,ratio"
         assert len(lines) == 3
 
     def test_graph_objects_accepted(self):

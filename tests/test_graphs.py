@@ -188,6 +188,18 @@ class TestWeightedGraph:
         with pytest.raises(DomainError):
             WeightedGraph([1.0, 0.0], [[0, 0], [0, 0]])  # zero mass
 
+    @pytest.mark.parametrize(
+        "masses, weights, message",
+        [
+            ([math.nan, 0.5], [[0, 0], [0, 0]], "positive numbers"),
+            ([0.5, 0.5], [[math.nan, 0], [0, 0]], "numbers in"),
+        ],
+        ids=["nan-mass", "nan-weight"],
+    )
+    def test_nan_rejected(self, masses, weights, message):
+        with pytest.raises(DomainError, match=message):
+            WeightedGraph(masses, weights)
+
     def test_immutable(self):
         w = WeightedGraph.constant(0.5)
         with pytest.raises(AttributeError):
