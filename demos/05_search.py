@@ -1,8 +1,9 @@
 """Gradient search for extremal step graphons.
 
 The search maximizes the log-density ratio log t(H, W) / log t(G, W) over
-step graphons with a fixed number of blocks, using exact analytic
-gradients and projected gradient ascent (simplex for the masses, box for
+step graphons with a fixed number of blocks, using gradients taken by
+complex steps through each pattern's contraction program and projected
+gradient ascent (simplex for the masses, box for
 the weights).  Any ratio it finds is a certified lower bound on rho(G, H);
 exceeding the catalog's proven upper bound would signal an engine bug and
 raises instead of returning.
@@ -10,7 +11,7 @@ raises instead of returning.
 
 from rhokit import SearchConfig, density_gradient, parse_graph_spec, sample_weighted_graph, search_lower_bound
 
-# analytic gradients: d t(C4, W) / d masses and / d weights
+# gradients: d t(C4, W) / d masses and / d weights
 w = sample_weighted_graph("uniform", 3, seed=1)
 gm, gw = density_gradient(parse_graph_spec("C4"), w)
 print("mass gradient of t(C4, W):", gm.round(4))

@@ -28,6 +28,9 @@ from .search import SearchConfig, search_lower_bound
 from .verify import SUITES, reports_to_junit, run_all_suites, run_suite
 
 
+_CSV_COMMANDS = ("certify", "search")
+
+
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
@@ -48,6 +51,8 @@ def _load_graphon(spec):
         body, scale_s = body.rsplit("@", 1)
         scale = parse_count(scale_s, "scale")
     parts = body.split(":")
+    if len(parts) > 2:
+        raise DomainError(f"builtin graphon {spec!r} has more than one parameter field")
     kind = parts[0]
     try:
         params = tuple(float(p) for p in parts[1].split(",")) if len(parts) > 1 else ()
@@ -150,7 +155,8 @@ def _build_parser():
         prog="rhokit",
         description="Homomorphism densities and density domination exponents.",
     )
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    parser.add_argument("--format", choices=("json", "csv", "text"), default="json",
+                        help="csv: certify and search only")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("density", help="t(G, W) for a pattern and a step graphon")
@@ -196,6 +202,8 @@ def _build_parser():
 def run_cli(argv=None):
     try:
         args = _build_parser().parse_args(argv)
+        if args.format == "csv" and args.subcommand not in _CSV_COMMANDS:
+            raise DomainError(f"--format csv is not available for {args.subcommand}")
         return args.fn(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code == 0 else 2

@@ -84,9 +84,10 @@ def build_construction(kind, params, n):
             raise DomainError("looped_vertex needs n >= 2")
         return WeightedGraph([1.0 / n, (n - 1) / n], [[1.0, 0.0], [0.0, 0.0]])
     # kpartite_unbalanced
-    k, i = int(params[0]), int(params[1])
-    if not (1 <= i <= k):
-        raise DomainError("need 1 <= i <= k")
+    k, i = params
+    if not (k == int(k) and i == int(i) and 1 <= i <= k):
+        raise DomainError(f"kpartite_unbalanced needs integers 1 <= i <= k, got {params}")
+    k, i = int(k), int(i)
     total = i * n + (k - i)
     masses = [n / total] * i + [1.0 / total] * (k - i)
     weights = [[0.0 if r == c else 1.0 for c in range(k)] for r in range(k)]

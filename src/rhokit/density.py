@@ -2,28 +2,31 @@
 
 The core evaluator contracts one tensor index per pattern vertex: each
 vertex contributes its block-mass vector, each edge contributes the block
-weight matrix.  The vertex-elimination dynamic program follows numpy's
-greedy einsum path, which is compiled once per (pattern, block count, free
-vertices) into a cached program of steps.  A step joining two operands
-runs the way numpy's bmm_einsum runs it: a one-operand einsum and a
-reshape on each side where needed, np.matmul or np.multiply, then a
+weight matrix, and every index is summed.  The vertex-elimination dynamic
+program follows numpy's greedy einsum path, which is compiled once per
+(pattern, block count) into a cached program of steps.  A step joining
+two operands runs the way numpy's bmm_einsum runs it: a one-operand einsum
+and a reshape on each side where needed, np.matmul or np.multiply, then a
 reshape and transpose.  Any other step is one plain np.einsum.  A call
 runs these steps and plans nothing.  On numpy 2.4, whose optimized einsum
 joins pairs by this batched-matmul scheme, it gets the same bits as
 np.einsum(optimize="greedy"); older releases join pairs by tensordot, and
 there the two agree to rounding.  Object operands stay object through
-every step, 0-d results included, so counts past int64 stay exact.  Where
-greedy gives up and would join the remaining operands over 2**20 or more
-index combinations in one step, the program slices one vertex instead (as
-in tensor-network slicing): its one step loops over that vertex's blocks
-and runs the rest of the pattern per block, one program per connected
-component when no vertex is free.  A configurable cap rejects a program
-whose size -- its largest intermediate or largest step joining three or
-more operands, times the block count for each sliced vertex -- exceeds
-the cap.  log_density picks one of two routes from the input: when every
-positive term of the density is a normal float64 it takes the log of the
-float contraction; otherwise (constructions drive densities toward 0) it
-scales masses and weights to integers over powers of two and counts
+every step, 0-d results included, so counts past int64 stay exact.
+Complex operands run the same program: search.density_gradient takes
+complex steps of 2**-60 through it, so a partial below about 2**-960
+(whose imaginary part is then subnormal) loses precision.  Where greedy
+gives up and would join the remaining operands over 2**20 or more index
+combinations in one step, the program slices one vertex instead (as in
+tensor-network slicing): its one step loops over that vertex's blocks and
+runs the rest of the pattern per block, one program per connected
+component.  A configurable cap rejects a
+program whose size -- its largest intermediate or largest step joining
+three or more operands, times the block count for each sliced vertex --
+exceeds the cap.  log_density picks one of two routes from the input: when
+every positive term of the density is a normal float64 it takes the log of
+the float contraction; otherwise (constructions drive densities toward 0)
+it scales masses and weights to integers over powers of two and counts
 exactly, the way hom_count counts past int64.
 """
 
@@ -95,38 +98,36 @@ class _Sliced(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1024)
-def _plan(g, k, out_vertices):
-    """Contraction program of pattern g on k blocks with free out_vertices.
+def _plan(g, k):
+    """Contraction program of pattern g on k blocks, every vertex summed.
 
     Greedy path search depends only on the expression and the operand
     shapes, so the path np.einsum_path(optimize="greedy") returns is the
     one np.einsum(optimize="greedy") follows on every call.  Replaying it
     on the operands' index strings gives each step the operands numpy pops
     (highest position first) and the index order numpy gives its result:
-    sorted by letter, as every axis has length k, and the requested output
-    on the last step.  Every shape is known here, so a pairwise step keeps
-    what numpy's bmm_einsum would derive on each call; other steps are one
-    plain einsum.  When greedy finds no pair under its size limit it joins
-    every operand left in one step, whose index space the largest
-    intermediate misses.  If that join has at least _SLICE_AT index
-    combinations, the program slices the summed vertex of highest degree
-    instead: one contraction of the rest of the pattern per block, planned
-    the same way, one part per connected component when no vertex is free.
+    sorted by letter, as every axis has length k, and empty on the last
+    step.  Every shape is known here, so a pairwise step keeps what numpy's
+    bmm_einsum would derive on each call; other steps are one plain einsum.
+    When greedy finds no pair under its size limit it joins every operand
+    left in one step, whose index space the largest intermediate misses.
+    If that join has at least _SLICE_AT index combinations, the program
+    slices the vertex of highest degree instead: one contraction of the
+    rest of the pattern per block, planned the same way, one part per
+    connected component -- greedy gives up on each component that is too
+    dense, and one join of them all would nest a slice per part.
     """
     terms = [_LETTERS[v] for v in range(g.vertex_count)]
     terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
-    out = "".join(_LETTERS[v] for v in out_vertices)
     blanks = [np.empty(k)] * g.vertex_count + [np.empty((k, k))] * g.edge_count
-    path, _ = np.einsum_path(",".join(terms) + "->" + out, *blanks, optimize="greedy")
+    path, _ = np.einsum_path(",".join(terms) + "->", *blanks, optimize="greedy")
 
     steps = []
     largest_intermediate = largest_join = 0
-    for n, step in enumerate(path[1:], 2):
+    for step in path[1:]:
         positions = tuple(sorted(step, reverse=True))
         joined = [terms.pop(i) for i in positions]
-        result = out
-        if n < len(path):
-            result = "".join(sorted(set("".join(joined)) & set(out).union(*terms)))
+        result = "".join(sorted(set("".join(joined)) & set("".join(terms))))
         terms.append(result)
         largest_intermediate = max(largest_intermediate, k ** len(result))
         if len(joined) >= 3:
@@ -136,21 +137,13 @@ def _plan(g, k, out_vertices):
         else:
             steps.append(_Einsum(positions, ",".join(joined) + "->" + result))
 
-    summed = [v for v in range(g.vertex_count) if v not in out_vertices]
-    if largest_join < _SLICE_AT or not summed:
+    if largest_join < _SLICE_AT:
         return _Plan(tuple(steps), g.edge_count, max(largest_intermediate, largest_join))
     degrees = g.degrees()
-    v = max(summed, key=lambda u: (degrees[u], -u))
+    v = max(range(g.vertex_count), key=lambda u: (degrees[u], -u))
     rest = [u for u in range(g.vertex_count) if u != v]
-    groups = [rest]
-    if not out_vertices:
-        # one part per component: greedy gives up on each component that is
-        # too dense, and one join of them all would nest a slice per part
-        groups = [[rest[i] for i in c] for c in g.induced(rest).components()]
-    parts = tuple(
-        (tuple(vs), _plan(g.induced(vs), k, tuple(vs.index(u) for u in out_vertices)))
-        for vs in groups
-    )
+    groups = [[rest[i] for i in c] for c in g.induced(rest).components()]
+    parts = tuple((tuple(vs), _plan(g.induced(vs), k)) for vs in groups)
     sliced = _Sliced(v, tuple(sorted(g.neighbors(v))), parts)
     return _Plan((sliced,), 0, k * max(p.size for _, p in parts))
 
@@ -251,12 +244,11 @@ def _evaluate(plan, factors, weights):
     return ops[-1]
 
 
-def _contract(g, vertex_factors, weights, out_vertices=()):
-    """Contract the density tensor network of pattern g.
+def _contract(g, vertex_factors, weights):
+    """Contract the density tensor network of pattern g to a scalar.
 
     vertex_factors[v] is the length-k vector multiplied in for vertex v
-    (normally the block masses).  out_vertices are left free, producing an
-    array with one axis per free vertex, in the given order.
+    (normally the block masses).
     """
     nv = g.vertex_count
     if nv == 0:
@@ -265,16 +257,15 @@ def _contract(g, vertex_factors, weights, out_vertices=()):
         raise EnumerationCapError(f"patterns with more than {len(_LETTERS)} vertices unsupported")
     cap = enumeration_cap()
     k = weights.shape[0]
-    plan = _plan(g, k, tuple(out_vertices))
+    plan = _plan(g, k)
     # every step's index space is at most k**nv, so small patterns always pass
     if plan.size > cap:
         raise EnumerationCapError(
             f"contracting {nv} vertices on {k} blocks takes {plan.size} index "
             f"combinations, over the enumeration cap {cap}"
         )
-    result = _evaluate(plan, vertex_factors, weights)
     # item() keeps integer counts exact: Python ints from object operands
-    return result if out_vertices else result.item()
+    return _evaluate(plan, vertex_factors, weights).item()
 
 
 def hom_count(g, target):

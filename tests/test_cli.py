@@ -238,12 +238,28 @@ class TestMalformedInput:
             ("density", "K2", "--graphon", "builtin:constant_p:abc"),
             ("density", "K2", "--graphon", "builtin:looped_star@abc"),
             ("certify", "C3", "C4", "--family", "constant_p", "--scales", "1"),
+            ("density", "K2", "--graphon", "builtin:constant_p:0.5:junk"),
+            ("certify", "K2", "C4", "--family", "kpartite_unbalanced", "--params", "2.5", "1",
+             "--scales", "10"),
         ],
         ids=["scale-overflow", "scale-abc", "blocks-x", "blocks-0", "builtin-param-abc",
-             "builtin-scale-abc", "constant_p-without-params"],
+             "builtin-scale-abc", "constant_p-without-params", "builtin-extra-field",
+             "kpartite-fractional-k"],
     )
     def test_argument(self, capsys, args):
         assert_input_error(capsys, args, "domain")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("density", "K2", "--graphon", "builtin:constant_p:0.5"),
+            ("rho", "K2", "K3"),
+            ("verify", "--suite", "holder", "--trials", "2"),
+        ],
+        ids=["density", "rho", "verify"],
+    )
+    def test_csv_only_for_certify_and_search(self, capsys, args):
+        assert_input_error(capsys, ("--format", "csv", *args), "domain")
 
     @pytest.mark.parametrize(
         "text",

@@ -67,6 +67,11 @@ class TestBuildConstruction:
         assert w.weights[0, 0] == 0.0
         assert w.masses[0] == pytest.approx(10 / 12)
 
+    @pytest.mark.parametrize("params", [(2.5, 1), (3, 1.5), (2, 3), (2, 0)])
+    def test_kpartite_unbalanced_needs_integers_in_order(self, params):
+        with pytest.raises(DomainError, match="integers 1 <= i <= k"):
+            build_construction("kpartite_unbalanced", params, 10)
+
     def test_clique_pendant_star_masses_sum(self):
         w = build_construction("clique_pendant_star", [2], 100)
         assert w.block_count == 3

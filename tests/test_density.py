@@ -193,7 +193,9 @@ class TestLogDensity:
 )
 def test_log_density_matches_oracle_down_to_1e_300(nv, keep, k, mass_exp, weight_exp, seed):
     pairs = itertools.combinations(range(nv), 2)
-    g = Graph.from_edges(nv, [e for e, kept in zip(pairs, keep) if kept])
+    edges = [e for e, kept in zip(pairs, keep) if kept]
+    assume(edges)
+    g = Graph.from_edges(nv, edges)
     rng = np.random.default_rng(seed)
     masses = rng.random(k) + 0.1
     masses[1:] *= 10.0**-mass_exp / masses.sum()
@@ -211,6 +213,35 @@ def greedy_einsum(g, factors, weights, out=()):
     expr = ",".join(terms) + "->" + "".join(letters[v] for v in out)
     ops = [*factors, *[weights] * g.edge_count]
     return np.einsum(expr, *ops, optimize="greedy")
+
+
+def greedy_gradient(g, w):
+    """Reference gradient of t(g, w): one free vertex per mass term and one
+    edge-deleted pattern with two free vertices per weight term, each
+    contracted by greedy_einsum; symmetric weight pairs move together."""
+    k, mu = w.block_count, w.masses
+    ref_m = np.zeros(k)
+    for v in range(g.vertex_count):
+        factors = [mu] * g.vertex_count
+        factors[v] = np.ones(k)
+        ref_m += greedy_einsum(g, factors, w.weights, (v,))
+    ref_w = np.zeros((k, k))
+    for u, v in sorted(g.edges):
+        rest = Graph.from_edges(g.vertex_count, g.edges - {(u, v)})
+        ref_w += greedy_einsum(rest, [mu] * g.vertex_count, w.weights, (u, v))
+    return ref_m, ref_w + ref_w.T - np.diag(np.diag(ref_w))
+
+
+# numpy 2.4's optimized einsum joins pairs by batched matmul, as the compiled
+# programs do; older releases join by tensordot and agree only to rounding
+GREEDY_BITS = tuple(int(p) for p in np.__version__.split(".")[:2]) >= (2, 4)
+
+
+def assert_matches_greedy(got, ref):
+    if GREEDY_BITS:
+        assert got == ref
+    else:
+        assert got == pytest.approx(ref, rel=1e-12)
 
 
 PLAN_PATTERNS = ("P3", "C5", "K4", "S3", "paw", "K[2,3]", "2xK3", "Khub[1,1,1]")
@@ -233,29 +264,24 @@ class TestPlanCache:
         # k = 1 as well, where numpy's batched matmul drops every length-1 axis
         for w in graphons(6, seed=61, sizes=(2, 3, 7, 2, 1, 5)):
             ref = float(greedy_einsum(g, [w.masses] * g.vertex_count, w.weights))
-            assert density(g, w) == ref
-            for out in ((0,), (1, 2), (2, 0)):
-                got = _contract(g, [w.masses] * g.vertex_count, w.weights, out_vertices=out)
-                exp = greedy_einsum(g, [w.masses] * g.vertex_count, w.weights, out)
-                assert got.shape == exp.shape and np.array_equal(got, exp)
+            assert_matches_greedy(density(g, w), ref)
 
     @pytest.mark.parametrize("spec", PLAN_PATTERNS)
     def test_gradient_bit_identical_to_greedy(self, spec):
         g = parse_graph_spec(spec)
         w = sample_weighted_graph("sparse", 3, 62)
-        k, mu = w.block_count, w.masses
-        ref_m = np.zeros(k)
-        for v in range(g.vertex_count):
-            factors = [mu] * g.vertex_count
-            factors[v] = np.ones(k)
-            ref_m += greedy_einsum(g, factors, w.weights, (v,))
-        ref_w = np.zeros((k, k))
-        for u, v in sorted(g.edges):
-            rest = Graph.from_edges(g.vertex_count, g.edges - {(u, v)})
-            ref_w += greedy_einsum(rest, [mu] * g.vertex_count, w.weights, (u, v))
-        ref_w = ref_w + ref_w.T - np.diag(np.diag(ref_w))
+        ref_m, ref_w = greedy_gradient(g, w)
         gm, gw = density_gradient(g, w)
-        assert np.array_equal(gm, ref_m) and np.array_equal(gw, ref_w)
+        np.testing.assert_allclose(gm, ref_m, rtol=1e-12)
+        np.testing.assert_allclose(gw, ref_w, rtol=1e-12)
+
+    def test_gradient_builds_one_program(self):
+        g, w = parse_graph_spec("paw"), sample_weighted_graph("uniform", 3, 5)
+        _plan.cache_clear()
+        density_gradient(g, w)
+        assert _plan.cache_info().currsize == _plan.cache_info().misses == 1
+        _plan(g, 3)  # the one program is the density's own
+        assert _plan.cache_info().misses == 1
 
     def test_hom_count_bit_identical_to_greedy(self):
         for spec in PLAN_PATTERNS:
@@ -339,7 +365,7 @@ class TestSlicing:
     @pytest.mark.parametrize("spec,k", [("K4", 33), ("K5", 17)])
     def test_sliced_density_matches_oracle(self, spec, k):
         g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
-        assert sliced(_plan(g, k, ()))  # the give-up join is >= 2**20
+        assert sliced(_plan(g, k))  # the give-up join is >= 2**20
         assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
 
     def test_k4_on_128_blocks(self):
@@ -359,7 +385,7 @@ class TestSlicing:
         # on its own (40 * 40 * 40**2 index combinations); one program for
         # all three would nest three slices, 40**3 * 40**2, over the cap
         g, t = parse_graph_spec("3xK4"), complete(40)
-        assert _plan(g, 40, ()).size == 40**4
+        assert _plan(g, 40).size == 40**4
         assert hom_count(g, t) == (40 * 39 * 38 * 37) ** 3 > 2**63
         w = random_graphon(40, seed=12)
         assert density(g, w) == pytest.approx(density(complete(4), w) ** 3, rel=1e-12)
@@ -371,12 +397,12 @@ class TestSlicing:
         assert hom_count(g, complete(40)) == 40 * 39 * 38 * 37 * 39**15
 
     def test_gradient_matches_unsliced(self):
+        # greedy_gradient contracts without slicing; 594 complex passes of
+        # the unsliced program would each join 33**4 index combinations
         g, w = complete(4), random_graphon(33, seed=3)
-        assert sliced(_plan(g, 33, (0,)))
+        assert sliced(_plan(g, 33))
         gm, gw = density_gradient(g, w)
-        with slice_at(2**62):
-            assert not sliced(_plan(g, 33, (0,)))
-            ref_m, ref_w = density_gradient(g, w)
+        ref_m, ref_w = greedy_gradient(g, w)
         np.testing.assert_allclose(gm, ref_m, rtol=1e-12)
         np.testing.assert_allclose(gw, ref_w, rtol=1e-12)
 
@@ -395,7 +421,7 @@ class TestSlicing:
     def test_slices_nest(self):
         w = random_graphon(2, seed=2)
         with slice_at(1):
-            plan = _plan(complete(5), 2, ())
+            plan = _plan(complete(5), 2)
             assert sliced(plan) and sliced(sliced(plan).parts[0][1])
             assert density(complete(5), w) == pytest.approx(density_oracle(complete(5), w))
 
@@ -412,13 +438,37 @@ def test_nested_slices_match_oracle(nv, keep, k, seed):
     edges = [e for e, kept in zip(pairs, keep) if kept]
     assume(edges)
     g, w = Graph.from_edges(nv, edges), random_graphon(k, seed)
-    out = (max(edges)[1],)  # a free vertex, which is never sliced
     with slice_at(1):
         got = density(g, w)
-        got_out = _contract(g, [w.masses] * nv, w.weights, out_vertices=out)
     assert got == pytest.approx(density_oracle(g, w), rel=1e-12, abs=1e-300)
-    ref_out = greedy_einsum(g, [w.masses] * nv, w.weights, out)
-    np.testing.assert_allclose(got_out, ref_out, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.lists(st.booleans(), min_size=21, max_size=21),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=100),
+    st.integers(min_value=0, max_value=1000),
+)
+def test_sliced_gradient_matches_greedy(nv, keep, k, weight_exp, seed):
+    pairs = itertools.combinations(range(nv), 2)
+    edges = [e for e, kept in zip(pairs, keep) if kept]
+    assume(edges)
+    g = Graph.from_edges(nv, edges)
+    rng = np.random.default_rng(seed)
+    masses = rng.random(k) + 0.1
+    a = rng.random((k, k)) * (rng.random((k, k)) < 0.8)  # some zero weights
+    w = WeightedGraph(masses / masses.sum(), (a + a.T) / 2 * 10.0**-weight_exp)
+    with slice_at(1):
+        gm, gw = density_gradient(g, w)
+    ref_m, ref_w = greedy_gradient(g, w)
+    # a partial that is exactly 0 keeps the step's h**2 term, 2**-120 times
+    # a third derivative; terms near 2**-1074 are subnormal on both sides
+    s = w.weights.max() or 1.0
+    e = g.edge_count
+    np.testing.assert_allclose(gm, ref_m, rtol=1e-12, atol=2.0**-80 * s**e + 2.0**-1050)
+    np.testing.assert_allclose(gw, ref_w, rtol=1e-12, atol=2.0**-80 * s ** (e - 1) + 2.0**-1050)
 
 
 class TestClamp:
