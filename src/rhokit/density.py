@@ -14,13 +14,14 @@ np.einsum(optimize="greedy"); older releases join pairs by tensordot, and
 there the two agree to rounding.  Object operands stay object through
 every step, 0-d results included, so counts past int64 stay exact.
 Complex operands run the same program: search.density_gradient takes
-complex steps of 2**-60 through it, so a partial below about 2**-960
-(whose imaginary part is then subnormal) loses precision.  Where greedy
-gives up and would join the remaining operands over 2**20 or more index
-combinations in one step, the program slices one vertex instead (as in
-tensor-network slicing): its one step loops over that vertex's blocks and
-runs the rest of the pattern per block, one program per connected
-component.  A configurable cap rejects a
+complex steps of 2**-60 through it (at most 2**-30 times a coordinate
+below 2**-30), so a partial below about 2**-960 (whose imaginary part is
+then subnormal) loses precision, or below about 2**-990 / x at such a
+coordinate x.  Where greedy gives up and would join the remaining operands
+over 2**20 or more index combinations in one step, the program slices one
+vertex instead (as in tensor-network slicing): its one step loops over
+that vertex's blocks and runs the rest of the pattern per block, one
+program per connected component.  A configurable cap rejects a
 program whose size -- its largest intermediate or largest step joining
 three or more operands, times the block count for each sliced vertex --
 exceeds the cap.  log_density picks one of two routes from the input: when

@@ -194,7 +194,6 @@ class TestLogDensity:
 def test_log_density_matches_oracle_down_to_1e_300(nv, keep, k, mass_exp, weight_exp, seed):
     pairs = itertools.combinations(range(nv), 2)
     edges = [e for e, kept in zip(pairs, keep) if kept]
-    assume(edges)
     g = Graph.from_edges(nv, edges)
     rng = np.random.default_rng(seed)
     masses = rng.random(k) + 0.1
@@ -449,26 +448,43 @@ def test_nested_slices_match_oracle(nv, keep, k, seed):
     st.lists(st.booleans(), min_size=21, max_size=21),
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=100),
+    st.integers(min_value=0, max_value=100),
     st.integers(min_value=0, max_value=1000),
 )
-def test_sliced_gradient_matches_greedy(nv, keep, k, weight_exp, seed):
+def test_sliced_gradient_matches_greedy(nv, keep, k, weight_exp, tiny_exp, seed):
     pairs = itertools.combinations(range(nv), 2)
-    edges = [e for e, kept in zip(pairs, keep) if kept]
-    assume(edges)
-    g = Graph.from_edges(nv, edges)
+    g = Graph.from_edges(nv, [e for e, kept in zip(pairs, keep) if kept])
     rng = np.random.default_rng(seed)
     masses = rng.random(k) + 0.1
+    masses[-1] *= 10.0**-tiny_exp  # one tiny mass and weight next to order-1 ones
     a = rng.random((k, k)) * (rng.random((k, k)) < 0.8)  # some zero weights
-    w = WeightedGraph(masses / masses.sum(), (a + a.T) / 2 * 10.0**-weight_exp)
+    a = (a + a.T) / 2
+    i, j = rng.integers(k, size=2)
+    a[i, j] = a[j, i] = 10.0**-tiny_exp
+    w = WeightedGraph(masses / masses.sum(), a * 10.0**-weight_exp)
     with slice_at(1):
         gm, gw = density_gradient(g, w)
     ref_m, ref_w = greedy_gradient(g, w)
-    # a partial that is exactly 0 keeps the step's h**2 term, 2**-120 times
-    # a third derivative; terms near 2**-1074 are subnormal on both sides
-    s = w.weights.max() or 1.0
+
+    # density_gradient scales the weights by 2**-e, steps each coordinate x
+    # by at most 2**-30 * x, and scales the partials back: one at x > 0 loses
+    # precision only where h times it is subnormal; one that is exactly 0 at
+    # x = 0 keeps the h**2 term of the step 2**-60; terms near 2**-1074 are
+    # subnormal on both sides
+    scale = 2.0 ** math.frexp(w.weights.max())[1]
+
+    def allowance(x, degree):
+        out = np.full(x.shape, 2.0**-80)
+        np.divide(2.0**-1030, np.minimum(x, 2.0**-30), out=out, where=x > 0)
+        return out * scale**degree + 2.0**-1050
+
     e = g.edge_count
-    np.testing.assert_allclose(gm, ref_m, rtol=1e-12, atol=2.0**-80 * s**e + 2.0**-1050)
-    np.testing.assert_allclose(gw, ref_w, rtol=1e-12, atol=2.0**-80 * s ** (e - 1) + 2.0**-1050)
+    for got, ref, atol in [
+        (gm, ref_m, allowance(w.masses, e)),
+        (gw, ref_w, allowance(w.weights / scale, e - 1)),
+    ]:
+        bad = np.abs(got - ref) > 1e-12 * np.abs(ref) + atol
+        assert not bad.any(), (got[bad], ref[bad])
 
 
 class TestClamp:
