@@ -3,32 +3,34 @@
 The core evaluator contracts one tensor index per pattern vertex: each
 vertex contributes its block-mass vector, each edge contributes the block
 weight matrix, and every index is summed.  The vertex-elimination dynamic
-program follows numpy's greedy einsum path, which is compiled once per
-(pattern, block count) into a cached program of steps.  A step joining
-two operands runs the way numpy's bmm_einsum runs it: a one-operand einsum
-and a reshape on each side where needed, np.matmul or np.multiply, then a
-reshape and transpose.  Any other step is one plain np.einsum.  A call
-runs these steps and plans nothing.  On numpy 2.4, whose optimized einsum
-joins pairs by this batched-matmul scheme, it gets the same bits as
-np.einsum(optimize="greedy"); older releases join pairs by tensordot, and
-there the two agree to rounding.  Object operands stay object through
-every step, 0-d results included, so counts past int64 stay exact.
-Complex operands run the same program: search.density_gradient takes
-complex steps of 2**-60 through it (at most 2**-30 times a coordinate
-below 2**-30), so a partial below about 2**-960 (whose imaginary part is
-then subnormal) loses precision, or below about 2**-990 / x at such a
-coordinate x.  Where greedy gives up and would join the remaining operands
-over 2**20 or more index combinations in one step, the program slices one
-vertex instead (as in tensor-network slicing): its one step loops over
-that vertex's blocks and runs the rest of the pattern per block, one
-program per connected component.  A configurable cap rejects a
-program whose size -- its largest intermediate or largest step joining
-three or more operands, times the block count for each sliced vertex --
-exceeds the cap.  log_density picks one of two routes from the input: when
-every positive term of the density is a normal float64 it takes the log of
-the float contraction; otherwise (constructions drive densities toward 0)
-it scales masses and weights to integers over powers of two and counts
-exactly, the way hom_count counts past int64.
+program follows numpy's greedy einsum path.  The path is found in-house:
+numpy's greedy rule (opt_einsum's) run on bitmasks of each operand's
+vertices, so planning does not depend on the installed numpy's
+einsum_path.  It is compiled once per (pattern, block count) into a cached
+program of steps.  A step joining two operands runs the way numpy's
+bmm_einsum runs it: a one-operand einsum and a reshape on each side where
+needed, np.matmul or np.multiply, then a reshape and transpose.  Any other
+step is one plain np.einsum.  A call runs these steps and plans nothing.
+On numpy 2.4, whose optimized einsum joins pairs by this batched-matmul
+scheme, it gets the same bits as np.einsum(optimize="greedy"); older
+releases join pairs by tensordot, and there the two agree to rounding.
+Object operands stay object through every step, 0-d results included, so
+counts past int64 stay exact.  Complex operands run the same program:
+search.density_gradient takes complex steps of 2**-60 through it (at most
+2**-30 times a coordinate below 2**-30), so a partial below about 2**-960
+(whose imaginary part is then subnormal) loses precision, or below about
+2**-990 / x at such a coordinate x.  Where greedy gives up and would join
+the remaining operands over 2**20 or more index combinations in one step,
+the program slices one vertex instead (as in tensor-network slicing): its
+one step loops over that vertex's blocks and runs the rest of the pattern
+per block, one program per connected component.  A configurable cap
+rejects a program whose size -- its largest intermediate or largest step
+joining three or more operands, times the block count for each sliced
+vertex -- exceeds the cap.  log_density picks one of two routes from the
+input: when every positive term of the density is a normal float64 it
+takes the log of the float contraction; otherwise (constructions drive
+densities toward 0) it scales masses and weights to integers over powers
+of two and counts exactly, the way hom_count counts past int64.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import string
 from typing import NamedTuple
@@ -98,34 +101,102 @@ class _Sliced(NamedTuple):
     parts: tuple  # (vertices, plan of g.induced(vertices)) covering the rest
 
 
+def _greedy_path(masks, k):
+    """numpy's greedy path for contracting operands to a scalar, where
+    masks[i] has one bit per index of operand i and every axis has length k.
+
+    This is the rule of numpy 2.4's einsum_path(optimize="greedy"), which
+    numpy takes from opt_einsum (Smith & Gray 2018), run on bitmasks.  Each
+    step joins the pair with the least key (-removed size, flop cost), the
+    first such pair in numpy's candidate order on ties.  A join whose
+    result has more elements than the largest operand, or that takes the
+    path's cost past the naive one-step cost, is no candidate.  Pairs that
+    share an index are scanned first; only when none qualifies are all
+    pairs, outer products included, scanned again, and when still none
+    does, the step joins every operand left and the path ends.  After a
+    join only pairs with the new operand are scanned: every other
+    candidate keeps its key and result, stale as they may be, as in numpy,
+    and its pair's positions shift down past the two operands removed.
+    """
+    n = len(masks)
+    if n <= 2:
+        return [tuple(range(n))]
+    size = [k**bits for bits in range(max(masks).bit_length() + 1)]
+    limit = max(size[m.bit_count()] for m in masks)
+    everything = functools.reduce(operator.or_, masks)
+    naive = size[everything.bit_count()] * n  # n - 1 joins, and an index is summed
+    ops = list(masks)
+    path, known, cost = [], [], 0
+    pairs = itertools.combinations(range(n), 2)
+    for _ in range(n - 1):
+        # indices held by exactly one operand, and by exactly two
+        once = twice = more = 0
+        for m in ops:
+            more |= twice & m
+            twice = (twice | once & m) & ~more
+            once = (once | m) & ~(twice | more)
+
+        def consider(i, j):
+            a, b = ops[i], ops[j]
+            removed = once & (a ^ b) | twice & a & b
+            result = (a | b) & ~removed
+            kept = size[result.bit_count()]
+            flops = size[(a | b).bit_count()] * (2 if removed else 1)
+            if kept <= limit and cost + flops <= naive:
+                gain = size[a.bit_count()] + size[b.bit_count()] - kept
+                known.append(((-gain, flops), i, j, result))
+
+        for i, j in pairs:
+            if ops[i] & ops[j]:
+                consider(i, j)
+        if not known:
+            for i, j in itertools.combinations(range(len(ops)), 2):
+                consider(i, j)
+            if not known:
+                path.append(tuple(range(len(ops))))
+                break
+        (_, flops), x, y, result = min(known, key=operator.itemgetter(0))
+        known = [
+            (key, i - (i > x) - (i > y), j - (j > x) - (j > y), r)
+            for key, i, j, r in known
+            if i != x and i != y and j != x and j != y
+        ]
+        ops = [m for i, m in enumerate(ops) if i != x and i != y] + [result]
+        new = len(ops) - 1
+        pairs = ((i, new) for i in range(new))
+        path.append((x, y))
+        cost += flops
+    return path
+
+
 @functools.lru_cache(maxsize=1024)
 def _plan(g, k):
     """Contraction program of pattern g on k blocks, every vertex summed.
 
-    Greedy path search depends only on the expression and the operand
-    shapes, so the path np.einsum_path(optimize="greedy") returns is the
-    one np.einsum(optimize="greedy") follows on every call.  Replaying it
-    on the operands' index strings gives each step the operands numpy pops
-    (highest position first) and the index order numpy gives its result:
-    sorted by letter, as every axis has length k, and empty on the last
-    step.  Every shape is known here, so a pairwise step keeps what numpy's
-    bmm_einsum would derive on each call; other steps are one plain einsum.
-    When greedy finds no pair under its size limit it joins every operand
-    left in one step, whose index space the largest intermediate misses.
-    If that join has at least _SLICE_AT index combinations, the program
-    slices the vertex of highest degree instead: one contraction of the
-    rest of the pattern per block, planned the same way, one part per
+    The path is numpy's greedy one, found by _greedy_path on bitmasks of
+    the operands' vertices; it depends only on the pattern and k, so it is
+    the path np.einsum(optimize="greedy") follows on every call.  Replaying
+    it on the operands' index strings gives each step the operands numpy
+    pops (highest position first) and the index order numpy gives its
+    result: sorted by letter, as every axis has length k, and empty on the
+    last step.  Every shape is known here, so a pairwise step keeps what
+    numpy's bmm_einsum would derive on each call; other steps are one plain
+    einsum.  When greedy finds no pair under its size limit it joins every
+    operand left in one step, whose index space the largest intermediate
+    misses.  If that join has at least _SLICE_AT index combinations, the
+    program slices the vertex of highest degree instead: one contraction of
+    the rest of the pattern per block, planned the same way, one part per
     connected component -- greedy gives up on each component that is too
     dense, and one join of them all would nest a slice per part.
     """
     terms = [_LETTERS[v] for v in range(g.vertex_count)]
     terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
-    blanks = [np.empty(k)] * g.vertex_count + [np.empty((k, k))] * g.edge_count
-    path, _ = np.einsum_path(",".join(terms) + "->", *blanks, optimize="greedy")
+    masks = [1 << v for v in range(g.vertex_count)]
+    masks += [masks[u] | masks[v] for u, v in sorted(g.edges)]
 
     steps = []
     largest_intermediate = largest_join = 0
-    for step in path[1:]:
+    for step in _greedy_path(masks, k):
         positions = tuple(sorted(step, reverse=True))
         joined = [terms.pop(i) for i in positions]
         result = "".join(sorted(set("".join(joined)) & set("".join(terms))))

@@ -207,6 +207,11 @@ def search_lower_bound(g_spec, h_spec, config=None):
         raise DomainError("search requires both patterns to have edges")
     if not all(1 <= k <= 8 for k in cfg.block_counts):  # sample_weighted_graph's sizes
         raise DomainError(f"search block counts must lie in 1..8, got {cfg.block_counts}")
+    if cfg.restarts < 0 or cfg.iterations < 0:
+        raise DomainError(
+            f"search restarts and iterations must be nonnegative, "
+            f"got {cfg.restarts} and {cfg.iterations}"
+        )
 
     res = rho_exact(g, h)
     upper = math.inf if res.upper is None else float(res.upper)

@@ -285,6 +285,14 @@ class TestMalformedInput:
         assert code == 2
         assert "search block counts" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("flags", [("--restarts", "-1"), ("--iterations", "-3")])
+    def test_search_rejects_negative_counts(self, capsys, flags):
+        code, out, err = invoke(capsys, "search", "C3", "C4", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "nonnegative" in json.loads(err)["message"]
+
 
 class TestUsage:
     def test_no_subcommand_exit_2(self, capsys):

@@ -39,6 +39,7 @@ from rhokit import (
 )
 from rhokit.constructions import build_construction
 from rhokit.density import _contract, _plan, _Sliced
+from test_acceptance import _partitions
 
 # the package's density() function shadows the module's attribute name
 density_module = importlib.import_module("rhokit.density")
@@ -323,6 +324,12 @@ class TestPlanCache:
         density(g, w)
         density_gradient(g, w)
         assert calls == []
+        # nor does building its program again
+        _plan.cache_clear()
+        density(g, w)
+        density_gradient(g, w)
+        assert _plan.cache_info().misses == 1
+        assert calls == []
 
     def test_cap_read_on_every_call(self, monkeypatch):
         w = sample_weighted_graph("uniform", 5, 1)
@@ -333,6 +340,49 @@ class TestPlanCache:
             density(g, w)
         monkeypatch.delenv("RHOKIT_ENUM_CAP")
         assert density(g, w) >= 0
+
+
+def greedy_path_pair(g, k):
+    """(_greedy_path's path, np.einsum_path's greedy path) of g's density
+    tensor network on k blocks."""
+    terms = [string.ascii_letters[v] for v in range(g.vertex_count)]
+    terms += [string.ascii_letters[u] + string.ascii_letters[v] for u, v in sorted(g.edges)]
+    blanks = [np.empty(k)] * g.vertex_count + [np.empty((k, k))] * g.edge_count
+    path, _ = np.einsum_path(",".join(terms) + "->", *blanks, optimize="greedy")
+    masks = [1 << v for v in range(g.vertex_count)]
+    masks += [1 << u | 1 << v for u, v in sorted(g.edges)]
+    return density_module._greedy_path(masks, k), path[1:]
+
+
+# criterion 8's multipartite graphs (up to 40 edges) on its 2 and 3 blocks,
+# 3xK4 and the K8..K3 that slicing K8 on 40 blocks plans, edgeless patterns
+NAMED_PATH_CASES = (
+    [(multipartite(p), k) for p in _partitions(10, 5) for k in (2, 3)]
+    + [(parse_graph_spec("3xK4"), k) for k in (2, 3, 40)]
+    + [(complete(n), 40) for n in range(3, 9)]
+    + [(Graph(n, frozenset()), k) for n in range(1, 14) for k in (1, 2, 40)]
+)
+
+
+# np.einsum_path is the reference; _greedy_path follows numpy 2.4's rule
+@pytest.mark.skipif(not GREEDY_BITS, reason="the greedy rule is numpy 2.4's")
+class TestGreedyPath:
+    def test_named_patterns(self):
+        for g, k in NAMED_PATH_CASES:
+            got, ref = greedy_path_pair(g, k)
+            assert got == ref, (sorted(g.edges), g.vertex_count, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=13),
+        st.lists(st.booleans(), min_size=78, max_size=78),
+        st.sampled_from((1, 2, 3, 5, 8, 33, 80)),
+    )
+    def test_random_patterns(self, nv, keep, k):
+        pairs = itertools.combinations(range(nv), 2)
+        edges = [e for e, kept in zip(pairs, keep) if kept]
+        got, ref = greedy_path_pair(Graph.from_edges(nv, edges), k)
+        assert got == ref
 
 
 def random_graphon(k, seed):

@@ -1,0 +1,57 @@
+"""Time contraction-program builds (density._plan) from a cold cache.
+
+    PYTHONPATH=src python tools/plan_build.py
+
+Point PYTHONPATH at another checkout's src to time that checkout.  Two sets
+of programs are built: the 104 of perfbench's density_large workload (13
+patterns on 32-80 blocks) and the 60 of acceptance criterion 8 (the complete
+multipartite graphs of the partitions of 10 into at most 5 parts, on 2 and 3
+blocks).  Each set is built 5 times, each time after clearing the plan
+cache, and the best time is printed as JSON in milliseconds.
+"""
+
+import json
+import time
+
+from rhokit import multipartite, parse_graph_spec
+from rhokit.density import _plan
+
+DENSITY_LARGE = [
+    (parse_graph_spec(spec), k)
+    for spec in (
+        "P3", "P8", "C4", "C5", "C8", "K3", "K4", "S4", "paw",
+        "K[2,2]", "K[2,3]", "Gtail[2,1]", "Khub[1,1,1]",
+    )
+    for k in (32, 36, 40, 48, 56, 64, 72, 80)
+]  # fmt: skip
+
+
+def partitions(total, max_parts, cap=None):
+    if total == 0:
+        yield ()
+    elif max_parts > 0:
+        for first in range(min(cap or total, total), 0, -1):
+            for rest in partitions(total - first, max_parts - 1, first):
+                yield (first, *rest)
+
+
+CRITERION_8 = [(multipartite(p), k) for p in partitions(10, 5) for k in (2, 3)]
+
+
+def best_ms(programs, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        _plan.cache_clear()
+        start = time.perf_counter()
+        for g, k in programs:
+            _plan(g, k)
+        best = min(best, time.perf_counter() - start)
+    return best * 1000
+
+
+if __name__ == "__main__":
+    assert len(DENSITY_LARGE) == 104 and len(CRITERION_8) == 60
+    print(json.dumps({
+        "density_large_ms": best_ms(DENSITY_LARGE),
+        "criterion_8_ms": best_ms(CRITERION_8),
+    }))  # fmt: skip
