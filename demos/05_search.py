@@ -2,9 +2,8 @@
 
 The search maximizes the log-density ratio log t(H, W) / log t(G, W) over
 step graphons with a fixed number of blocks, using gradients taken by
-complex steps through each pattern's contraction program and projected
-gradient ascent (simplex for the masses, box for
-the weights).  Any ratio it finds is a certified lower bound on rho(G, H);
+one reverse sweep through each pattern's contraction program and projected
+gradient ascent (simplex for the masses, box for the weights).  Any ratio it finds is a certified lower bound on rho(G, H);
 exceeding the catalog's proven upper bound would signal an engine bug and
 raises instead of returning.
 """

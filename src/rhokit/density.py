@@ -15,22 +15,20 @@ On numpy 2.4, whose optimized einsum joins pairs by this batched-matmul
 scheme, it gets the same bits as np.einsum(optimize="greedy"); older
 releases join pairs by tensordot, and there the two agree to rounding.
 Object operands stay object through every step, 0-d results included, so
-counts past int64 stay exact.  Complex operands run the same program:
-search.density_gradient takes complex steps of 2**-60 through it (at most
-2**-30 times a coordinate below 2**-30), so a partial below about 2**-960
-(whose imaginary part is then subnormal) loses precision, or below about
-2**-990 / x at such a coordinate x.  Where greedy gives up and would join
-the remaining operands over 2**20 or more index combinations in one step,
-the program slices one vertex instead (as in tensor-network slicing): its
-one step loops over that vertex's blocks and runs the rest of the pattern
-per block, one program per connected component.  A configurable cap
-rejects a program whose size -- its largest intermediate or largest step
-joining three or more operands, times the block count for each sliced
-vertex -- exceeds the cap.  log_density picks one of two routes from the
-input: when every positive term of the density is a normal float64 it
-takes the log of the float contraction; otherwise (constructions drive
-densities toward 0) it scales masses and weights to integers over powers
-of two and counts exactly, the way hom_count counts past int64.
+counts past int64 stay exact.  search.density_gradient differentiates the
+same program by one reverse sweep through its steps' equations (_sweep).
+Where greedy gives up and would join the remaining operands over 2**20 or
+more index combinations in one step, the program slices one vertex instead
+(as in tensor-network slicing): its one step loops over that vertex's
+blocks and runs the rest of the pattern per block, one program per
+connected component.  A configurable cap rejects a program whose size --
+its largest intermediate or largest step joining three or more operands,
+times the block count for each sliced vertex -- exceeds the cap.
+log_density picks one of two routes from the input: when every positive
+term of the density is a normal float64 it takes the log of the float
+contraction; otherwise (constructions drive densities toward 0) it scales
+masses and weights to integers over powers of two and counts exactly, the
+way hom_count counts past int64.
 """
 
 from __future__ import annotations
@@ -82,6 +80,7 @@ class _Pair(NamedTuple):
     then one np.matmul or np.multiply, reshaped and transposed to the output."""
 
     positions: tuple
+    eq: str  # the step as one plain einsum, "a,b->out", for _sweep
     eq_a: str | None
     shape_a: tuple | None
     eq_b: str | None
@@ -226,6 +225,7 @@ def _pair(positions, a, b, out, k):
     numpy's bmm_einsum leaves out axes of length 1, so for k = 1 no index
     is summed between the sides and the join is a broadcast multiply.
     """
+    eq = f"{a},{b}->{out}"
     summed = [ix for ix in a if ix in b and ix not in out] if k > 1 else []
     if not summed:
 
@@ -233,7 +233,7 @@ def _pair(positions, a, b, out, k):
             kept = "".join(ix for ix in out if ix in t)
             return _reorder(t, kept), [k if ix in t else 1 for ix in out]
 
-        return _Pair(positions, *side(a), *side(b), np.multiply, None, None)
+        return _Pair(positions, eq, *side(a), *side(b), np.multiply, None, None)
     batch = [ix for ix in a if ix in b and ix in out]
     a_kept = [ix for ix in a if ix not in b and ix in out]
     b_kept = [ix for ix in b if ix not in a and ix in out]
@@ -246,6 +246,7 @@ def _pair(positions, a, b, out, k):
     produced = "".join(batch + a_kept + b_kept)
     return _Pair(
         positions,
+        eq,
         _reorder(a, "".join(batch + a_kept + summed)),
         _fused(groups_a, k),
         _reorder(b, "".join(batch + summed + b_kept)),
@@ -283,7 +284,7 @@ def _evaluate(plan, factors, weights):
     for step in plan.steps:
         kind = type(step)
         if kind is _Pair:
-            (i, j), eq_a, shape_a, eq_b, shape_b, join, shape, perm = step
+            (i, j), _, eq_a, shape_a, eq_b, shape_b, join, shape, perm = step
             a = ops.pop(i)
             b = ops.pop(j)
             if eq_a is not None:
@@ -316,19 +317,88 @@ def _evaluate(plan, factors, weights):
     return ops[-1]
 
 
-def _contract(g, vertex_factors, weights):
-    """Contract the density tensor network of pattern g to a scalar.
+def _sweep(plan, factors, weights):
+    """(value, factor adjoints, weight adjoint) of plan's contraction, by one
+    reverse sweep through its steps.
 
-    vertex_factors[v] is the length-k vector multiplied in for vertex v
-    (normally the block masses).
+    The forward pass runs each step as one plain np.einsum of its equation
+    and keeps the step's inputs.  The backward pass walks the steps in
+    reverse: the adjoint of an input is one einsum of the result's adjoint
+    with the other inputs, into that input's indices, broadcast along an
+    index only that input holds.  Each operand is popped by exactly one
+    step, so its adjoint goes back in where that step popped it, and the
+    list ends aligned with [factors..., weights once per edge].  The weight
+    adjoint sums the edges' adjoints, each in its edge's (u, v) orientation.
     """
+    if type(plan.steps[0]) is _Sliced:
+        return _sweep_sliced(plan.steps[0], factors, weights)
+    ops = [*factors, *[weights] * plan.edge_count]
+    tape = []
+    for step in plan.steps:
+        inputs = [ops.pop(i) for i in step.positions]
+        ops.append(np.einsum(step.eq, *inputs))
+        tape.append((step, inputs))
+    ones = np.ones(weights.shape[0])
+    adjoints = [1.0]
+    for step, inputs in reversed(tape):
+        bar = adjoints.pop()
+        for m in reversed(range(len(inputs))):  # the positions, ascending
+            eq, alone = _adjoint_eqs(step.eq)[m]
+            adjoint = np.einsum(eq, bar, *inputs[:m], *inputs[m + 1 :], *[ones] * alone)
+            adjoints.insert(step.positions[m], adjoint)
+    return ops[0], adjoints[: len(factors)], sum(adjoints[len(factors) :], np.zeros_like(weights))
+
+
+@functools.lru_cache(maxsize=4096)
+def _adjoint_eqs(eq):
+    """Per input m of the einsum eq: the einsum that gives m's adjoint from
+    the result's adjoint, the other inputs and one ones vector per index only
+    m holds, and the number of those ones vectors."""
+    joined, out = eq.split("->")
+    terms = joined.split(",")
+    eqs = []
+    for m, term in enumerate(terms):
+        others = terms[:m] + terms[m + 1 :]
+        alone = [ix for ix in term if ix not in out and ix not in "".join(others)]
+        eqs.append((",".join([out, *others, *alone]) + "->" + term, len(alone)))
+    return tuple(eqs)
+
+
+def _sweep_sliced(step, factors, weights):
+    """_sweep of a _Sliced step: per block b, one sweep of each part and the
+    product rule across the parts.  A neighbour's factor there is
+    factors[u] * weights[b], so its adjoint also feeds row b of the weight
+    adjoint (weights is symmetric, as in _evaluate)."""
+    value = 0.0
+    adjoints = [np.zeros_like(f) for f in factors]
+    total = np.zeros_like(weights)
+    for b, mass in enumerate(factors[step.vertex]):
+        sliced = list(factors)
+        for u in step.neighbours:
+            sliced[u] = factors[u] * weights[b]
+        swept = [_sweep(part, [sliced[u] for u in vs], weights) for vs, part in step.parts]
+        values = [s[0] for s in swept]
+        product = math.prod(values)
+        value += mass * product
+        adjoints[step.vertex][b] += product
+        for p, ((vertices, _), (_, part_adjoints, part_total)) in enumerate(zip(step.parts, swept)):
+            c = mass * math.prod(values[:p] + values[p + 1 :])
+            total += c * part_total
+            for u, adjoint in zip(vertices, part_adjoints):
+                if u in step.neighbours:
+                    total[b] += c * adjoint * factors[u]
+                    adjoint = adjoint * weights[b]
+                adjoints[u] += c * adjoint
+    return value, adjoints, total
+
+
+def _program(g, k):
+    """g's contraction program on k blocks, after the checks every caller
+    shares: at most len(_LETTERS) vertices, and a size within the cap."""
     nv = g.vertex_count
-    if nv == 0:
-        return 1.0
     if nv > len(_LETTERS):
         raise EnumerationCapError(f"patterns with more than {len(_LETTERS)} vertices unsupported")
     cap = enumeration_cap()
-    k = weights.shape[0]
     plan = _plan(g, k)
     # every step's index space is at most k**nv, so small patterns always pass
     if plan.size > cap:
@@ -336,6 +406,18 @@ def _contract(g, vertex_factors, weights):
             f"contracting {nv} vertices on {k} blocks takes {plan.size} index "
             f"combinations, over the enumeration cap {cap}"
         )
+    return plan
+
+
+def _contract(g, vertex_factors, weights):
+    """Contract the density tensor network of pattern g to a scalar.
+
+    vertex_factors[v] is the length-k vector multiplied in for vertex v
+    (normally the block masses).
+    """
+    if g.vertex_count == 0:
+        return 1.0
+    plan = _program(g, weights.shape[0])
     # item() keeps integer counts exact: Python ints from object operands
     return _evaluate(plan, vertex_factors, weights).item()
 

@@ -23,6 +23,7 @@ reproducible):
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -49,7 +50,10 @@ class Graph:
             raise DomainError("vertex_count must be nonnegative")
         canon = set()
         for e in self.edges:
-            u, v = e
+            try:  # numpy integers become Python ints; floats are rejected
+                u, v = map(operator.index, e)
+            except TypeError:
+                raise DomainError(f"edge {e} has a non-integer vertex label") from None
             if u == v:
                 raise DomainError(f"loop ({u},{v}) not allowed in a simple graph")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):

@@ -3,70 +3,38 @@
 The maximized ratio is a certified lower bound on the domination exponent
 rho(G,H).  The optimizer is multi-start projected gradient ascent over the
 block masses (probability simplex with a floor) and the symmetric weight
-matrix (entries clipped to [0,1]), with gradients taken by complex steps
-through the density's own contraction program.
+matrix (entries clipped to [0,1]), with gradients taken by one reverse
+sweep through the density's own contraction program.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _contract, density, json_number
+from .density import _program, _sweep, density, json_number
 from .errors import DiscrepancyError, DomainError
 from .graphs import WeightedGraph, as_graph
 from .verify import PROFILES, sample_weighted_graph
-
-def _step(x):
-    """Complex step at a coordinate x >= 0: the largest power of two at most
-    2**-60 and at most 2**-30 * x, and at least 2**-1022; 2**-60 at 0."""
-    if x == 0.0 or x >= 2.0**-30:
-        return 2.0**-60
-    return math.ldexp(1.0, max(math.frexp(x)[1] - 31, -1022))  # x < 2**e
 
 
 def density_gradient(g, w):
     """Gradient of t(g, w): (d/d masses, d/d weights).
 
-    Each partial is Im t(x + i*h*d) / h for a complex step h along one
-    mass, or along one shared symmetric weight parameter: entry (i,j),
-    i != j, is the derivative when w[i,j] and w[j,i] move together; the
-    diagonal moves alone.  Matches a central finite difference that
-    perturbs symmetrically.  Each pass runs g's own contraction program on
-    complex operands: k for the masses and k(k+1)/2 for the weights.
-
-    t is homogeneous of degree |E| in the weights, so the steps are taken
-    with the weights scaled by a power of two to a largest entry in
-    [1/2, 1), and the partials are scaled back exactly.  Each step h is a
-    power of two: 2**-60 at a coordinate x of at least 2**-30, and at most
-    2**-30 * x below that (see _step).  t is a polynomial with nonnegative
-    coefficients, of degree at most d = max(|V|, |E|) in x, so at x > 0
-    the step's h**2 term is at most about d**2 * 2**-60 relative to the
-    partial, however small x is next to the other coordinates.  A partial
-    loses precision where h times it is subnormal: below about 2**-960, or
-    2**-990 / x at x < 2**-30 (x and the partial of the scaled graphon).
-    At x = 0 a partial that is exactly 0 can come out as about 2**-120
-    times a third derivative.
+    Entry (i,j), i != j, of d/d weights is the derivative when w[i,j] and
+    w[j,i] move together; the diagonal moves alone.  Matches a central
+    finite difference that perturbs symmetrically.  Every partial comes from
+    one reverse sweep through g's own contraction program (density._sweep),
+    whose cost does not grow with the number of coordinates.
     """
     k = w.block_count
-    _, e = math.frexp(w.weights.max())
-    scaled = np.ldexp(w.weights, -e)
-
-    def partial(masses, weights, h):
-        return _contract(g, [masses] * g.vertex_count, weights).imag / h
-
-    grad_mass = np.array(
-        [partial(w.masses + 1j * h * u, scaled, h) for h, u in zip(map(_step, w.masses), np.eye(k))]
-    )
-    grad_weight = np.zeros((k, k))
-    for i, j in itertools.combinations_with_replacement(range(k), 2):
-        d = np.zeros((k, k))
-        d[i, j] = d[j, i] = h = _step(scaled[i, j])
-        grad_weight[i, j] = grad_weight[j, i] = partial(w.masses, scaled + 1j * d, h)
-    return np.ldexp(grad_mass, e * g.edge_count), np.ldexp(grad_weight, e * (g.edge_count - 1))
+    if g.vertex_count == 0:
+        return np.zeros(k), np.zeros((k, k))
+    plan = _program(g, k)
+    _, factors, total = _sweep(plan, [w.masses] * g.vertex_count, w.weights)
+    return sum(factors), total + total.T - np.diag(np.diag(total))
 
 
 def ratio_objective(g, h, w):

@@ -268,12 +268,25 @@ class TestPlanCache:
 
     @pytest.mark.parametrize("spec", PLAN_PATTERNS)
     def test_gradient_bit_identical_to_greedy(self, spec):
+        # to rtol 1e-12, not bit for bit: the reverse sweep sums in its own order
         g = parse_graph_spec(spec)
-        w = sample_weighted_graph("sparse", 3, 62)
-        ref_m, ref_w = greedy_gradient(g, w)
+        for k in (1, 2, 3, 8, 16):
+            w = random_graphon(k, seed=62 + k)
+            ref_m, ref_w = greedy_gradient(g, w)
+            gm, gw = density_gradient(g, w)
+            np.testing.assert_allclose(gm, ref_m, rtol=1e-12)
+            np.testing.assert_allclose(gw, ref_w, rtol=1e-12)
+
+    @pytest.mark.parametrize("nv", [0, 1, 4])
+    def test_gradient_of_edgeless_pattern(self, nv):
+        # t = (sum of masses)**nv, so d/d masses is nv everywhere, d/d weights 0
+        g, w = Graph(nv, frozenset()), random_graphon(3, seed=nv)
         gm, gw = density_gradient(g, w)
+        ref_m, ref_w = greedy_gradient(g, w)
+        np.testing.assert_allclose(gm, np.full(3, float(nv)), rtol=1e-12)
         np.testing.assert_allclose(gm, ref_m, rtol=1e-12)
-        np.testing.assert_allclose(gw, ref_w, rtol=1e-12)
+        assert gm.shape == (3,) and gw.shape == (3, 3)
+        assert not gw.any() and not ref_w.any()
 
     def test_gradient_builds_one_program(self):
         g, w = parse_graph_spec("paw"), sample_weighted_graph("uniform", 3, 5)
@@ -281,6 +294,22 @@ class TestPlanCache:
         density_gradient(g, w)
         assert _plan.cache_info().currsize == _plan.cache_info().misses == 1
         _plan(g, 3)  # the one program is the density's own
+        assert _plan.cache_info().misses == 1
+
+    def test_gradient_is_one_sweep_not_per_coordinate_passes(self, monkeypatch):
+        # every _contract call runs its program through _evaluate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return evaluate(*args, **kwargs)
+
+        evaluate = density_module._evaluate
+        monkeypatch.setattr(density_module, "_evaluate", counted)
+        g, w = path(5), random_graphon(8, seed=8)
+        _plan.cache_clear()
+        density_gradient(g, w)
+        assert calls == []
         assert _plan.cache_info().misses == 1
 
     def test_hom_count_bit_identical_to_greedy(self):
@@ -446,8 +475,7 @@ class TestSlicing:
         assert hom_count(g, complete(40)) == 40 * 39 * 38 * 37 * 39**15
 
     def test_gradient_matches_unsliced(self):
-        # greedy_gradient contracts without slicing; 594 complex passes of
-        # the unsliced program would each join 33**4 index combinations
+        # greedy_gradient contracts without slicing
         g, w = complete(4), random_graphon(33, seed=3)
         assert sliced(_plan(g, 33))
         gm, gw = density_gradient(g, w)
@@ -466,6 +494,15 @@ class TestSlicing:
         monkeypatch.setenv("RHOKIT_ENUM_CAP", "1e4")
         with pytest.raises(EnumerationCapError, match=f"takes {40 * 40**2} index combinations"):
             density(complete(4), random_graphon(40, seed=4))
+
+    def test_gradient_capped_where_density_is(self, monkeypatch):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError, match=f"takes {40**7} index combinations"):
+            density_gradient(complete(8), random_graphon(40, seed=8))
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setenv("RHOKIT_ENUM_CAP", "1e4")
+        with pytest.raises(EnumerationCapError, match=f"takes {40 * 40**2} index combinations"):
+            density_gradient(complete(4), random_graphon(40, seed=4))
 
     def test_slices_nest(self):
         w = random_graphon(2, seed=2)
@@ -515,26 +552,11 @@ def test_sliced_gradient_matches_greedy(nv, keep, k, weight_exp, tiny_exp, seed)
     with slice_at(1):
         gm, gw = density_gradient(g, w)
     ref_m, ref_w = greedy_gradient(g, w)
-
-    # density_gradient scales the weights by 2**-e, steps each coordinate x
-    # by at most 2**-30 * x, and scales the partials back: one at x > 0 loses
-    # precision only where h times it is subnormal; one that is exactly 0 at
-    # x = 0 keeps the h**2 term of the step 2**-60; terms near 2**-1074 are
-    # subnormal on both sides
-    scale = 2.0 ** math.frexp(w.weights.max())[1]
-
-    def allowance(x, degree):
-        out = np.full(x.shape, 2.0**-80)
-        np.divide(2.0**-1030, np.minimum(x, 2.0**-30), out=out, where=x > 0)
-        return out * scale**degree + 2.0**-1050
-
-    e = g.edge_count
-    for got, ref, atol in [
-        (gm, ref_m, allowance(w.masses, e)),
-        (gw, ref_w, allowance(w.weights / scale, e - 1)),
-    ]:
-        bad = np.abs(got - ref) > 1e-12 * np.abs(ref) + atol
+    # terms near 2**-1074 are subnormal on both sides
+    for got, ref in [(gm, ref_m), (gw, ref_w)]:
+        bad = np.abs(got - ref) > 1e-12 * np.abs(ref) + 2.0**-1050
         assert not bad.any(), (got[bad], ref[bad])
+        assert not got[ref == 0].any()  # exact zeros stay exact
 
 
 class TestClamp:

@@ -47,6 +47,16 @@ class TestGraph:
         with pytest.raises(DomainError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_numpy_integer_labels_become_ints(self):
+        g = Graph.from_edges(3, [(np.int64(2), np.int64(0)), (np.int32(1), 2)])
+        assert g.edges == frozenset({(0, 2), (1, 2)})
+        assert all(type(v) is int for e in g.edges for v in e)
+
+    @pytest.mark.parametrize("edge", [(0.0, 1.0), (0, 1.0), (0, "1"), (0, None)])
+    def test_rejects_non_integer_labels(self, edge):
+        with pytest.raises(DomainError, match="non-integer vertex label"):
+            Graph.from_edges(3, [edge])
+
     def test_degrees_and_neighbors(self):
         g = star(3)
         assert g.degrees() == [3, 1, 1, 1]

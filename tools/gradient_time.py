@@ -1,0 +1,69 @@
+"""Time search gradients (search.density_gradient) and whole searches.
+
+    PYTHONPATH=src python tools/gradient_time.py
+
+Point PYTHONPATH at another checkout's src to time that checkout.  Two sets
+of timings are printed as one JSON object:
+
+- gradient_ms: the best of 3 wall-clock times of one density_gradient
+  call, in milliseconds, for C3, C4, P5, K4 and paw on random graphons of
+  2, 3, 8 and 16 blocks, and for K4 on 33 blocks, whose program slices a
+  vertex.  Each time is the mean over enough calls to take about 50 ms,
+  after one warm-up call that builds the program.
+- search_cpu_s: the process CPU seconds of search_lower_bound over C3/C4,
+  P5/P3, K3/K2, P3/P2 and C5/C3, once with the default SearchConfig and
+  once with block_counts=(8,).
+"""
+
+import json
+import time
+
+import numpy as np
+
+from rhokit import SearchConfig, WeightedGraph, density_gradient, parse_graph_spec
+from rhokit import search_lower_bound
+from rhokit.density import _plan, _Sliced
+
+GRADIENT_CASES = [
+    (spec, k) for spec in ("C3", "C4", "P5", "K4", "paw") for k in (2, 3, 8, 16)
+] + [("K4", 33)]
+SEARCH_PAIRS = [("C3", "C4"), ("P5", "P3"), ("K3", "K2"), ("P3", "P2"), ("C5", "C3")]
+SEARCH_CONFIGS = {"default": SearchConfig(), "blocks_8": SearchConfig(block_counts=(8,))}
+
+
+def random_graphon(k, seed):
+    rng = np.random.default_rng(seed)
+    masses = rng.random(k) + 0.1
+    a = rng.random((k, k))
+    return WeightedGraph(masses / masses.sum(), (a + a.T) / 2)
+
+
+def gradient_ms(g, w, repeats=3, target_s=0.05):
+    start = time.perf_counter()
+    density_gradient(g, w)  # builds the program
+    number = max(1, round(target_s / (time.perf_counter() - start)))
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            density_gradient(g, w)
+        best = min(best, (time.perf_counter() - start) / number)
+    return best * 1000
+
+
+def search_cpu_s(cfg):
+    start = time.process_time()
+    for g, h in SEARCH_PAIRS:
+        search_lower_bound(g, h, cfg)
+    return time.process_time() - start
+
+
+if __name__ == "__main__":
+    assert isinstance(_plan(parse_graph_spec("K4"), 33).steps[0], _Sliced)
+    print(json.dumps({
+        "gradient_ms": {
+            f"{spec}@{k}": gradient_ms(parse_graph_spec(spec), random_graphon(k, seed=k))
+            for spec, k in GRADIENT_CASES
+        },
+        "search_cpu_s": {name: search_cpu_s(cfg) for name, cfg in SEARCH_CONFIGS.items()},
+    }))  # fmt: skip
