@@ -6,8 +6,12 @@ weight matrix, and every index is summed.  The vertex-elimination dynamic
 program follows numpy's greedy einsum path.  The path is found in-house:
 numpy's greedy rule (opt_einsum's) run on bitmasks of each operand's
 vertices, so planning does not depend on the installed numpy's
-einsum_path.  It is compiled once per (pattern, block count) into a cached
-program of steps.  A step joining two operands runs the way numpy's
+einsum_path.  On k >= _threshold(g) blocks, 4 for patterns of five or more
+vertices and max(4, 2(|V| + |E|) - 2) otherwise, the path is the same for
+every k (_threshold proves it), so it is replayed once per pattern there,
+once per block count below it, and each block count fills in its own
+sizes and slicing decision: a cached program of steps, step for step the
+one replayed at k.  A step joining two operands runs the way numpy's
 bmm_einsum runs it: a one-operand einsum and a reshape on each side where
 needed, np.matmul or np.multiply, then a reshape and transpose.  Any other
 step is one plain np.einsum.  A call runs these steps and plans nothing.
@@ -168,6 +172,67 @@ def _greedy_path(masks, k):
     return path
 
 
+def _threshold(g):
+    """T(g): on every k >= T(g) blocks, g's greedy path is its path on T(g).
+
+    _greedy_path uses k only to compare sizes.  Every operand holds at most
+    two indices, and greedy keeps no result larger than its largest
+    operand, so a step removes k**p + k**q - k**r elements, p, q, r <= 2,
+    and costs c * k**e flops, c in {1, 2}, e <= 4.
+    - Keys.  Two removed sizes differ by three terms +k**x and three -k**y,
+      x, y <= 2.  Unless they all cancel, the difference has the sign of
+      its leading term, of size at least k**d: the at most three terms of
+      the other sign below it sum to at most 3 * k**(d - 1) < k**d for
+      k >= 4.  Flop counts compare by e, then c, for k >= 3.  So keys
+      compare and tie for every k >= 4 as they do for large k.
+    - Size limit: it compares powers of k, the same for every k >= 2.
+    - Naive cost: cost + flops <= n * k**|V|, with n = |V| + |E| operands
+      and at most n - 1 flop counts summed, their c adding up to at most
+      2n - 2.  If |V| >= 5 each count is at most 2 * k**4, and the test
+      passes for every k >= 2.  Otherwise each has e <= |V|.  If the
+      coefficient of k**|V| in n * k**|V| - (cost + flops) is positive,
+      the difference is at least k**|V| - (2n - 2) * k**(|V| - 1) >= 0 for
+      k >= 2n - 2; if not, it is negative for every k, or 0 for every k.
+    """
+    n = g.vertex_count + g.edge_count
+    return 4 if g.vertex_count >= 5 else max(4, 2 * n - 2)
+
+
+class _Replay(NamedTuple):
+    """The greedy path replayed on the operands' index strings, every size
+    an exponent of the block count."""
+
+    steps: tuple  # _Einsum and _Pair, each _Pair's shapes exponents of k
+    intermediate: int  # the largest intermediate has k**intermediate entries
+    join: int | None  # the same for the largest step joining 3+ operands, if any
+
+
+@functools.lru_cache(maxsize=1024)
+def _replay(g, k):
+    """Replay of g's greedy path on k blocks, as _plan describes it.  It is
+    the same for every k >= _threshold(g), so _plan replays at most there."""
+    terms = [_LETTERS[v] for v in range(g.vertex_count)]
+    terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
+    masks = [1 << v for v in range(g.vertex_count)]
+    masks += [masks[u] | masks[v] for u, v in sorted(g.edges)]
+
+    steps = []
+    intermediate, join = 0, None
+    for step in _greedy_path(masks, k):
+        positions = tuple(sorted(step, reverse=True))
+        joined = [terms.pop(i) for i in positions]
+        result = "".join(sorted(set("".join(joined)) & set("".join(terms))))
+        terms.append(result)
+        intermediate = max(intermediate, len(result))
+        if len(joined) >= 3:
+            join = max(join or 0, len(set("".join(joined))))
+        if len(joined) == 2:
+            steps.append(_pair(positions, *joined, result, k))
+        else:
+            steps.append(_Einsum(positions, ",".join(joined) + "->" + result))
+    return _Replay(tuple(steps), intermediate, join)
+
+
 @functools.lru_cache(maxsize=1024)
 def _plan(g, k):
     """Contraction program of pattern g on k blocks, every vertex summed.
@@ -180,36 +245,24 @@ def _plan(g, k):
     result: sorted by letter, as every axis has length k, and empty on the
     last step.  Every shape is known here, so a pairwise step keeps what
     numpy's bmm_einsum would derive on each call; other steps are one plain
-    einsum.  When greedy finds no pair under its size limit it joins every
-    operand left in one step, whose index space the largest intermediate
-    misses.  If that join has at least _SLICE_AT index combinations, the
-    program slices the vertex of highest degree instead: one contraction of
-    the rest of the pattern per block, planned the same way, one part per
+    einsum.  The path is the same for every k >= _threshold(g) (its
+    docstring has the proof), so the replay runs at min(k, _threshold(g)),
+    once per pattern past the threshold, and keeps every size as an
+    exponent of k; here k fills in the shapes, the size and the slicing
+    decision, and the program is step for step the one replayed at k.
+    When greedy finds no pair under its size limit it joins every operand
+    left in one step, whose index space the largest intermediate misses.
+    If that join has at least _SLICE_AT index combinations, the program
+    slices the vertex of highest degree instead: one contraction of the
+    rest of the pattern per block, planned the same way, one part per
     connected component -- greedy gives up on each component that is too
     dense, and one join of them all would nest a slice per part.
     """
-    terms = [_LETTERS[v] for v in range(g.vertex_count)]
-    terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
-    masks = [1 << v for v in range(g.vertex_count)]
-    masks += [masks[u] | masks[v] for u, v in sorted(g.edges)]
-
-    steps = []
-    largest_intermediate = largest_join = 0
-    for step in _greedy_path(masks, k):
-        positions = tuple(sorted(step, reverse=True))
-        joined = [terms.pop(i) for i in positions]
-        result = "".join(sorted(set("".join(joined)) & set("".join(terms))))
-        terms.append(result)
-        largest_intermediate = max(largest_intermediate, k ** len(result))
-        if len(joined) >= 3:
-            largest_join = max(largest_join, k ** len(set("".join(joined))))
-        if len(joined) == 2:
-            steps.append(_pair(positions, *joined, result, k))
-        else:
-            steps.append(_Einsum(positions, ",".join(joined) + "->" + result))
-
-    if largest_join < _SLICE_AT:
-        return _Plan(tuple(steps), g.edge_count, max(largest_intermediate, largest_join))
+    replay = _replay(g, min(k, _threshold(g)))
+    join = 0 if replay.join is None else k**replay.join
+    if join < _SLICE_AT:
+        steps = tuple(_sized(step, k) for step in replay.steps)
+        return _Plan(steps, g.edge_count, max(k**replay.intermediate, join))
     degrees = g.degrees()
     v = max(range(g.vertex_count), key=lambda u: (degrees[u], -u))
     rest = [u for u in range(g.vertex_count) if u != v]
@@ -219,8 +272,20 @@ def _plan(g, k):
     return _Plan((sliced,), 0, k * max(p.size for _, p in parts))
 
 
+def _sized(step, k):
+    """step with a _Pair's shapes turned from exponents of k into lengths."""
+    if type(step) is not _Pair:
+        return step
+    positions, eq, eq_a, shape_a, eq_b, shape_b, join, shape, perm = step
+    shape_a, shape_b, shape = [
+        None if s is None else tuple([k**e for e in s]) for s in (shape_a, shape_b, shape)
+    ]
+    return _Pair(positions, eq, eq_a, shape_a, eq_b, shape_b, join, shape, perm)
+
+
 def _pair(positions, a, b, out, k):
-    """The _Pair step for a,b->out when every axis has length k.
+    """The _Pair step for a,b->out when every axis has length k, its shapes
+    as exponents of k (_sized makes them lengths).
 
     numpy's bmm_einsum leaves out axes of length 1, so for k = 1 no index
     is summed between the sides and the join is a broadcast multiply.
@@ -231,7 +296,7 @@ def _pair(positions, a, b, out, k):
 
         def side(t):
             kept = "".join(ix for ix in out if ix in t)
-            return _reorder(t, kept), [k if ix in t else 1 for ix in out]
+            return _reorder(t, kept), tuple(int(ix in t) for ix in out)
 
         return _Pair(positions, eq, *side(a), *side(b), np.multiply, None, None)
     batch = [ix for ix in a if ix in b and ix in out]
@@ -248,11 +313,11 @@ def _pair(positions, a, b, out, k):
         positions,
         eq,
         _reorder(a, "".join(batch + a_kept + summed)),
-        _fused(groups_a, k),
+        _fused(groups_a),
         _reorder(b, "".join(batch + summed + b_kept)),
-        _fused(groups_b, k),
+        _fused(groups_b),
         np.matmul,
-        None if _fused(groups_out, k) is None else (k,) * len(produced),
+        None if _fused(groups_out) is None else (1,) * len(produced),
         tuple(produced.index(ix) for ix in out) if produced != out else None,
     )
 
@@ -261,11 +326,12 @@ def _reorder(term, desired):
     return None if term == desired else f"{term}->{desired}"
 
 
-def _fused(groups, k):
-    """One axis per index group, unless every group is already one axis."""
+def _fused(groups):
+    """One axis per index group, as exponents of k, unless every group is
+    already one axis."""
     if all(len(group) == 1 for group in groups):
         return None
-    return tuple(k ** len(group) for group in groups)
+    return tuple(len(group) for group in groups)
 
 
 def _keep(x):

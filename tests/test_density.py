@@ -38,7 +38,7 @@ from rhokit import (
     star,
 )
 from rhokit.constructions import build_construction
-from rhokit.density import _contract, _plan, _Sliced
+from rhokit.density import _contract, _greedy_path, _Pair, _plan, _replay, _Sliced, _threshold
 from test_acceptance import _partitions
 
 # the package's density() function shadows the module's attribute name
@@ -371,6 +371,11 @@ class TestPlanCache:
         assert density(g, w) >= 0
 
 
+def operand_masks(g):
+    masks = [1 << v for v in range(g.vertex_count)]
+    return masks + [1 << u | 1 << v for u, v in sorted(g.edges)]
+
+
 def greedy_path_pair(g, k):
     """(_greedy_path's path, np.einsum_path's greedy path) of g's density
     tensor network on k blocks."""
@@ -378,9 +383,7 @@ def greedy_path_pair(g, k):
     terms += [string.ascii_letters[u] + string.ascii_letters[v] for u, v in sorted(g.edges)]
     blanks = [np.empty(k)] * g.vertex_count + [np.empty((k, k))] * g.edge_count
     path, _ = np.einsum_path(",".join(terms) + "->", *blanks, optimize="greedy")
-    masks = [1 << v for v in range(g.vertex_count)]
-    masks += [1 << u | 1 << v for u, v in sorted(g.edges)]
-    return density_module._greedy_path(masks, k), path[1:]
+    return _greedy_path(operand_masks(g), k), path[1:]
 
 
 # criterion 8's multipartite graphs (up to 40 edges) on its 2 and 3 blocks,
@@ -557,6 +560,128 @@ def test_sliced_gradient_matches_greedy(nv, keep, k, weight_exp, tiny_exp, seed)
         bad = np.abs(got - ref) > 1e-12 * np.abs(ref) + 2.0**-1050
         assert not bad.any(), (got[bad], ref[bad])
         assert not got[ref == 0].any()  # exact zeros stay exact
+
+
+def random_pattern(nv, keep):
+    pairs = itertools.combinations(range(nv), 2)
+    return Graph.from_edges(nv, [e for e, kept in zip(pairs, keep) if kept])
+
+
+def past_threshold(g):
+    """Block counts at and past g's threshold (it is at most 18)."""
+    t = _threshold(g)
+    return (t, t + 1, 2 * t, 33, 80)
+
+
+def replayed_at(g, k):
+    """g's program on k blocks, filled in from a replay run at k itself."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density_module, "_threshold", lambda _: math.inf)
+        _plan.cache_clear()
+        try:
+            return _plan(g, k)
+        finally:
+            _plan.cache_clear()
+
+
+class TestThreshold:
+    def test_threshold_values(self):
+        # 4 from five vertices on; else max(4, 2n - 2) over n = |V| + |E| operands
+        cases = {"K2": 4, "K3": 10, "P3": 12, "K4": 18, "C5": 4, "K[2,3]": 4}
+        assert {spec: _threshold(parse_graph_spec(spec)) for spec in cases} == cases
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=13),
+        st.lists(st.booleans(), min_size=78, max_size=78),
+    )
+    def test_path_is_constant_past_threshold(self, nv, keep):
+        g = random_pattern(nv, keep)
+        masks = operand_masks(g)
+        at_threshold = _greedy_path(masks, _threshold(g))
+        for k in past_threshold(g):
+            assert _greedy_path(masks, k) == at_threshold, k
+
+    def test_named_paths_are_constant_past_threshold(self):
+        for g in {g for g, _ in NAMED_PATH_CASES}:
+            masks = operand_masks(g)
+            at_threshold = _greedy_path(masks, _threshold(g))
+            for k in (*range(_threshold(g), _threshold(g) + 5), 2**300):
+                assert _greedy_path(masks, k) == at_threshold, (sorted(g.edges), k)
+
+    @pytest.mark.skipif(not GREEDY_BITS, reason="the greedy rule is numpy 2.4's")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=13),
+        st.lists(st.booleans(), min_size=78, max_size=78),
+    )
+    def test_numpy_path_is_constant_past_threshold(self, nv, keep):
+        g = random_pattern(nv, keep)
+        at_threshold = _greedy_path(operand_masks(g), _threshold(g))
+        for k in past_threshold(g):
+            assert greedy_path_pair(g, k)[1] == at_threshold, k
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=13),
+        st.lists(st.booleans(), min_size=78, max_size=78),
+    )
+    def test_program_is_the_one_replayed_at_k(self, nv, keep):
+        g = random_pattern(nv, keep)
+        for k in (1, 2, 3, *past_threshold(g)):
+            assert _plan(g, k) == replayed_at(g, k), k
+
+    @pytest.mark.parametrize("spec", ["P3", "C5", "paw", "K[2,3]", "K4"])
+    def test_bit_identical_to_greedy_past_threshold(self, spec):
+        # K4 ends in a give-up join of k**4 < 2**20 index combinations
+        g = parse_graph_spec(spec)
+        for k in (20, 24):
+            assert k >= _threshold(g) and not sliced(_plan(g, k))
+            w = random_graphon(k, seed=k)
+            ref = float(greedy_einsum(g, [w.masses] * g.vertex_count, w.weights))
+            assert_matches_greedy(density(g, w), ref)
+            rng = np.random.default_rng(k)
+            t = random_pattern(k, rng.random(k * (k - 1) // 2) < 0.4)
+            ones = np.ones(k, dtype=np.int64)
+            assert hom_count(g, t) == int(greedy_einsum(g, [ones] * g.vertex_count, t.adjacency()))
+
+    def test_one_replay_slices_per_block_count(self):
+        g = complete(4)
+        _plan.cache_clear()
+        _replay.cache_clear()
+        assert not sliced(_plan(g, 24))  # 24**4 < 2**20
+        assert sliced(_plan(g, 33))
+        # K4's replay on 18 blocks serves both; the other is the K3 left by slicing
+        assert _replay.cache_info().misses == 2
+
+    @pytest.mark.parametrize("spec", ["P3", "C4", "S4", "paw", "K[2,3]"])
+    def test_no_give_up_join_never_slices(self, spec):
+        g = parse_graph_spec(spec)
+        with slice_at(1):
+            for k in (1, 2, 3, *past_threshold(g)):
+                assert _replay(g, min(k, _threshold(g))).join is None
+                assert not sliced(_plan(g, k))
+
+    def test_pair_shapes_are_tuples(self):
+        # one replay's steps serve every block count past the threshold
+        joins = set()
+
+        def check(plan):
+            for step in plan.steps:
+                if type(step) is _Sliced:
+                    for _, part in step.parts:
+                        check(part)
+                elif type(step) is _Pair:
+                    joins.add(step.join)
+                    for shape in (step.shape_a, step.shape_b, step.shape):
+                        assert shape is None or type(shape) is tuple
+
+        for spec in PLAN_PATTERNS:
+            g = parse_graph_spec(spec)
+            for k in (1, 2, 3, 20, 40):
+                check(_plan(g, k))
+                check(_replay(g, min(k, _threshold(g))))
+        assert joins == {np.matmul, np.multiply}
 
 
 class TestClamp:
