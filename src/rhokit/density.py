@@ -21,13 +21,16 @@ releases join pairs by tensordot, and there the two agree to rounding.
 Object operands stay object through every step, 0-d results included, so
 counts past int64 stay exact.  search.density_gradient differentiates the
 same program by one reverse sweep through its steps' equations (_sweep).
-Where greedy gives up and would join the remaining operands over 2**20 or
-more index combinations in one step, the program slices one vertex instead
-(as in tensor-network slicing): its one step loops over that vertex's
-blocks and runs the rest of the pattern per block, one program per
-connected component.  A configurable cap rejects a program whose size --
-its largest intermediate or largest step joining three or more operands,
-times the block count for each sliced vertex -- exceeds the cap.
+Where greedy gives up and would join the remaining operands over 2**15 or
+more index combinations in one step (K4 on 14+ blocks), the program slices
+one vertex instead (as in tensor-network slicing): its one step loops over
+that vertex's blocks and runs the rest of the pattern per block, one
+program per connected component.  From 2**15 on, slicing is faster on
+every give-up join tools/slice_threshold.py times; below, it loses on some
+(K4 on 2-11 blocks) and wins on others.  A configurable cap rejects a
+program whose size -- its largest intermediate or largest step joining
+three or more operands, times the block count for each sliced vertex --
+exceeds the cap.
 log_density picks one of two routes from the input: when every positive
 term of the density is a normal float64 it takes the log of the float
 contraction; otherwise (constructions drive densities toward 0) it scales
@@ -52,7 +55,7 @@ from .graphs import Graph, parse_count, path
 
 DEFAULT_ENUM_CAP = 10**8
 # a give-up join this large is sliced; smaller ones keep numpy's greedy path
-_SLICE_AT = 2**20
+_SLICE_AT = 2**15
 # below log 2**-1000 a term may be subnormal, and log_density counts exactly
 _NORMAL_LOG = -1000 * math.log(2)
 _CLAMP_TOL = 1e-12  # float noise past [0, 1] that density clamps; beyond it raises
@@ -252,11 +255,11 @@ def _plan(g, k):
     decision, and the program is step for step the one replayed at k.
     When greedy finds no pair under its size limit it joins every operand
     left in one step, whose index space the largest intermediate misses.
-    If that join has at least _SLICE_AT index combinations, the program
-    slices the vertex of highest degree instead: one contraction of the
-    rest of the pattern per block, planned the same way, one part per
-    connected component -- greedy gives up on each component that is too
-    dense, and one join of them all would nest a slice per part.
+    If that join has at least _SLICE_AT = 2**15 index combinations, the
+    program slices the vertex of highest degree instead: one contraction
+    of the rest of the pattern per block, planned the same way, one part
+    per connected component -- greedy gives up on each component that is
+    too dense, and one join of them all would nest a slice per part.
     """
     replay = _replay(g, min(k, _threshold(g)))
     join = 0 if replay.join is None else k**replay.join

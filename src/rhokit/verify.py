@@ -12,7 +12,9 @@ indicate an engine bug).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from xml.etree import ElementTree
@@ -52,11 +54,26 @@ PROFILES = ("uniform", "sparse", "bipartiteish", "threshold", "near_construction
 
 
 def sample_weighted_graph(profile, size, seed):
-    """Deterministic random step graphon for a given (profile, size, seed)."""
+    """Deterministic random step graphon for a given (profile, size, seed).
+
+    size and seed must be integers.  Trial t of every suite draws the same
+    graphon, so draws are memoized; a WeightedGraph is immutable, and every
+    caller shares the one returned.
+    """
+    try:  # numpy integers become Python ints; floats are rejected
+        size, seed = operator.index(size), operator.index(seed)
+    except TypeError:
+        raise DomainError(f"size and seed must be integers, got {size!r} and {seed!r}") from None
     if not 1 <= size <= 8:
         raise DomainError("size must lie in 1..8")
     if profile not in PROFILES:
         raise DomainError(f"unknown profile {profile!r}")
+    return _sample(profile, size, seed)
+
+
+@functools.lru_cache(maxsize=1024)
+def _sample(profile, size, seed):
+    """sample_weighted_graph on arguments it has checked."""
     rng = np.random.default_rng([PROFILES.index(profile), size, seed & 0x7FFFFFFF])
 
     masses = rng.random(size) + 0.1

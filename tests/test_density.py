@@ -443,11 +443,23 @@ def slice_at(threshold):
 
 
 class TestSlicing:
-    @pytest.mark.parametrize("spec,k", [("K4", 33), ("K5", 17)])
+    @pytest.mark.parametrize("spec,k", [("K4", 33), ("K5", 17), ("K[4,4]", 5)])
     def test_sliced_density_matches_oracle(self, spec, k):
         g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
-        assert sliced(_plan(g, k))  # the give-up join is >= 2**20
+        assert sliced(_plan(g, k))  # the give-up join is >= 2**15
         assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
+
+    @pytest.mark.parametrize("spec,k", [("K4", 14), ("K5", 8), ("K[3,4]", 5)])
+    def test_mid_size_join_sliced(self, spec, k):
+        # give-up joins of 2**15 up to 2**20 index combinations are sliced too
+        g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
+        assert 2**15 <= k ** _replay(g, min(k, _threshold(g))).join < 2**20
+        assert sliced(_plan(g, k))
+        assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
+        gm, gw = density_gradient(g, w)
+        ref_m, ref_w = greedy_gradient(g, w)
+        np.testing.assert_allclose(gm, ref_m, rtol=1e-12)
+        np.testing.assert_allclose(gw, ref_w, rtol=1e-12)
 
     def test_k4_on_128_blocks(self):
         w = WeightedGraph(np.full(128, 1 / 128), np.full((128, 128), 0.3))
@@ -631,11 +643,23 @@ class TestThreshold:
         for k in (1, 2, 3, *past_threshold(g)):
             assert _plan(g, k) == replayed_at(g, k), k
 
-    @pytest.mark.parametrize("spec", ["P3", "C5", "paw", "K[2,3]", "K4"])
-    def test_bit_identical_to_greedy_past_threshold(self, spec):
-        # K4 ends in a give-up join of k**4 < 2**20 index combinations
+    @pytest.mark.parametrize(
+        "spec,ks",
+        [
+            pytest.param(spec, ks, id=spec)
+            for spec, ks in [
+                ("P3", (20, 24)),
+                ("C5", (20, 24)),
+                ("paw", (20, 24)),
+                ("K[2,3]", (20, 24)),
+                # K5 ends in a give-up join of k**5 < 2**15 index combinations
+                ("K5", (6, 7)),
+            ]
+        ],
+    )
+    def test_bit_identical_to_greedy_past_threshold(self, spec, ks):
         g = parse_graph_spec(spec)
-        for k in (20, 24):
+        for k in ks:
             assert k >= _threshold(g) and not sliced(_plan(g, k))
             w = random_graphon(k, seed=k)
             ref = float(greedy_einsum(g, [w.masses] * g.vertex_count, w.weights))
@@ -646,12 +670,13 @@ class TestThreshold:
             assert hom_count(g, t) == int(greedy_einsum(g, [ones] * g.vertex_count, t.adjacency()))
 
     def test_one_replay_slices_per_block_count(self):
-        g = complete(4)
+        g = complete(5)
         _plan.cache_clear()
         _replay.cache_clear()
-        assert not sliced(_plan(g, 24))  # 24**4 < 2**20
-        assert sliced(_plan(g, 33))
-        # K4's replay on 18 blocks serves both; the other is the K3 left by slicing
+        assert not sliced(_plan(g, 7))  # 7**5 < 2**15
+        assert sliced(_plan(g, 12))
+        # K5's replay on 4 blocks serves both; the other is the K4 left by
+        # slicing, unsliced on 12 blocks (12**4 < 2**15)
         assert _replay.cache_info().misses == 2
 
     @pytest.mark.parametrize("spec", ["P3", "C4", "S4", "paw", "K[2,3]"])

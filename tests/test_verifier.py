@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rhokit import (
@@ -15,6 +16,7 @@ from rhokit import (
     run_suite,
     sample_weighted_graph,
 )
+from rhokit.verify import _sample
 
 
 class TestSampling:
@@ -48,6 +50,17 @@ class TestSampling:
             sample_weighted_graph("nope", 3, 1)
         with pytest.raises(DomainError):
             sample_weighted_graph("uniform", 0, 1)
+
+    @pytest.mark.parametrize(
+        "size,seed", [(2, 1.5), (2.0, 1), (2, 1.0), (2, "1"), (None, 1), (2, np.float64(1))]
+    )
+    def test_rejects_non_integer_size_or_seed(self, size, seed):
+        with pytest.raises(DomainError, match="must be integers"):
+            sample_weighted_graph("uniform", size, seed)
+
+    def test_numpy_integers_share_the_draw(self):
+        a = sample_weighted_graph("uniform", np.int64(3), np.int32(7))
+        assert a is sample_weighted_graph("uniform", 3, 7)
 
 
 class TestResidual:
@@ -116,6 +129,21 @@ class TestSuites:
         j = run_suite("hub", 0, seed=0).to_json()
         assert j["passed"] is True
         assert j["min_residual"] is None
+
+    def test_run_all_draws_one_graphon_per_trial(self):
+        # trial t of every suite samples the same graphon
+        _sample.cache_clear()
+        run_all_suites(6, seed=9)
+        assert _sample.cache_info().misses == 6
+        assert _sample.cache_info().hits == 6 * (len(SUITES) - 1)
+
+    def test_shared_draws_give_the_same_reports(self):
+        shared = [r.to_json() for r in run_all_suites(10, seed=5)]
+        fresh = []
+        for suite in sorted(SUITES):
+            _sample.cache_clear()
+            fresh.append(run_suite(suite, 10, seed=5).to_json())
+        assert json.dumps(shared) == json.dumps(fresh)
 
     def test_run_all_matches_each_suite(self):
         together = [r.to_json() for r in run_all_suites(10, seed=3)]
