@@ -20,7 +20,7 @@ scheme, it gets the same bits as np.einsum(optimize="greedy"); older
 releases join pairs by tensordot, and there the two agree to rounding.
 Object operands stay object through every step, 0-d results included, so
 counts past int64 stay exact.  search.density_gradient differentiates the
-same program by one reverse sweep through its steps' equations (_sweep).
+same run: _evaluate records each step's operands, and _sweep walks them back.
 Where greedy gives up and would join the remaining operands over 2**15 or
 more index combinations in one step (K4 on 14+ blocks), the program slices
 one vertex instead (as in tensor-network slicing): its one step loops over
@@ -346,9 +346,11 @@ def _keep(x):
     return np.array(x, dtype=object) if type(x) is int else x
 
 
-def _evaluate(plan, factors, weights):
+def _evaluate(plan, factors, weights, tape=None):
     """Run plan's steps on its operand list; each step pops its operands and
-    appends its result, and the last result is the contraction."""
+    appends its result, and the last result is the contraction.  Given a list
+    as tape, for _sweep, each step appends (step, operands popped) to it, and
+    a _Sliced step (step, factors, per block (mass, each part's (value, tape)))."""
     ops = [*factors, *[weights] * plan.edge_count]
     for step in plan.steps:
         kind = type(step)
@@ -356,6 +358,8 @@ def _evaluate(plan, factors, weights):
             (i, j), _, eq_a, shape_a, eq_b, shape_b, join, shape, perm = step
             a = ops.pop(i)
             b = ops.pop(j)
+            if tape is not None:
+                tape.append((step, (a, b)))
             if eq_a is not None:
                 a = _keep(np.einsum(eq_a, a))
             if shape_a is not None:
@@ -370,43 +374,67 @@ def _evaluate(plan, factors, weights):
             if perm is not None:
                 r = r.transpose(perm)
         elif kind is _Einsum:
-            r = np.einsum(step.eq, *[ops.pop(i) for i in step.positions])
+            inputs = [ops.pop(i) for i in step.positions]
+            if tape is not None:
+                tape.append((step, inputs))
+            r = np.einsum(step.eq, *inputs)
         else:  # _Sliced
             r = 0
+            if tape is not None:
+                blocks = []
+                tape.append((step, factors, blocks))
             for b, mass in enumerate(ops[step.vertex]):
                 sliced = list(ops)
                 # weights is symmetric, so row b serves edges (vertex, u) and (u, vertex)
                 for u in step.neighbours:
                     sliced[u] = ops[u] * weights[b]
+                if tape is not None:
+                    parts = []
+                    blocks.append((mass, parts))
                 term = mass
                 for vertices, part in step.parts:
-                    term = term * _evaluate(part, [sliced[u] for u in vertices], weights)
+                    part_tape = None if tape is None else []
+                    value = _evaluate(part, [sliced[u] for u in vertices], weights, part_tape)
+                    if tape is not None:
+                        parts.append((value, part_tape))
+                    term = term * value
                 r = r + term
         ops.append(_keep(r))
     return ops[-1]
 
 
-def _sweep(plan, factors, weights):
-    """(value, factor adjoints, weight adjoint) of plan's contraction, by one
-    reverse sweep through its steps.
+def _sweep(tape, n, weights):
+    """(factor adjoints, weight adjoint) of a contraction of n factors, by one
+    reverse walk over the tape _evaluate recorded running its program.
 
-    The forward pass runs each step as one plain np.einsum of its equation
-    and keeps the step's inputs.  The backward pass walks the steps in
-    reverse: the adjoint of an input is one einsum of the result's adjoint
-    with the other inputs, into that input's indices, broadcast along an
-    index only that input holds.  Each operand is popped by exactly one
-    step, so its adjoint goes back in where that step popped it, and the
-    list ends aligned with [factors..., weights once per edge].  The weight
-    adjoint sums the edges' adjoints, each in its edge's (u, v) orientation.
+    The adjoint of a step's input is one einsum of the result's adjoint with
+    the other inputs, into that input's indices, broadcast along an index
+    only that input holds.  Each operand is popped by exactly one step, so
+    its adjoint goes back in where that step popped it, and the list ends
+    aligned with [factors..., weights once per edge].  The weight adjoint
+    sums the edges' adjoints, each in its edge's (u, v) orientation.
+    A _Sliced step takes, per block b, the product rule across its parts'
+    recorded values and one sweep of each part's tape.  A neighbour's factor
+    there is factors[u] * weights[b], so its adjoint also feeds row b of the
+    weight adjoint (weights is symmetric, as in _evaluate).
     """
-    if type(plan.steps[0]) is _Sliced:
-        return _sweep_sliced(plan.steps[0], factors, weights)
-    ops = [*factors, *[weights] * plan.edge_count]
-    tape = []
-    for step in plan.steps:
-        inputs = [ops.pop(i) for i in step.positions]
-        ops.append(np.einsum(step.eq, *inputs))
-        tape.append((step, inputs))
+    total = np.zeros_like(weights)
+    if type(tape[0][0]) is _Sliced:
+        ((step, factors, blocks),) = tape
+        adjoints = [np.zeros_like(f) for f in factors]
+        for b, (mass, parts) in enumerate(blocks):
+            values = [value for value, _ in parts]
+            adjoints[step.vertex][b] += math.prod(values)
+            for p, ((vertices, _), (_, part_tape)) in enumerate(zip(step.parts, parts)):
+                c = mass * math.prod(values[:p] + values[p + 1 :])
+                part_adjoints, part_total = _sweep(part_tape, len(vertices), weights)
+                total += c * part_total
+                for u, adjoint in zip(vertices, part_adjoints):
+                    if u in step.neighbours:
+                        total[b] += c * adjoint * factors[u]
+                        adjoint = adjoint * weights[b]
+                    adjoints[u] += c * adjoint
+        return adjoints, total
     ones = np.ones(weights.shape[0])
     adjoints = [1.0]
     for step, inputs in reversed(tape):
@@ -415,7 +443,7 @@ def _sweep(plan, factors, weights):
             eq, alone = _adjoint_eqs(step.eq)[m]
             adjoint = np.einsum(eq, bar, *inputs[:m], *inputs[m + 1 :], *[ones] * alone)
             adjoints.insert(step.positions[m], adjoint)
-    return ops[0], adjoints[: len(factors)], sum(adjoints[len(factors) :], np.zeros_like(weights))
+    return adjoints[:n], sum(adjoints[n:], total)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -431,34 +459,6 @@ def _adjoint_eqs(eq):
         alone = [ix for ix in term if ix not in out and ix not in "".join(others)]
         eqs.append((",".join([out, *others, *alone]) + "->" + term, len(alone)))
     return tuple(eqs)
-
-
-def _sweep_sliced(step, factors, weights):
-    """_sweep of a _Sliced step: per block b, one sweep of each part and the
-    product rule across the parts.  A neighbour's factor there is
-    factors[u] * weights[b], so its adjoint also feeds row b of the weight
-    adjoint (weights is symmetric, as in _evaluate)."""
-    value = 0.0
-    adjoints = [np.zeros_like(f) for f in factors]
-    total = np.zeros_like(weights)
-    for b, mass in enumerate(factors[step.vertex]):
-        sliced = list(factors)
-        for u in step.neighbours:
-            sliced[u] = factors[u] * weights[b]
-        swept = [_sweep(part, [sliced[u] for u in vs], weights) for vs, part in step.parts]
-        values = [s[0] for s in swept]
-        product = math.prod(values)
-        value += mass * product
-        adjoints[step.vertex][b] += product
-        for p, ((vertices, _), (_, part_adjoints, part_total)) in enumerate(zip(step.parts, swept)):
-            c = mass * math.prod(values[:p] + values[p + 1 :])
-            total += c * part_total
-            for u, adjoint in zip(vertices, part_adjoints):
-                if u in step.neighbours:
-                    total[b] += c * adjoint * factors[u]
-                    adjoint = adjoint * weights[b]
-                adjoints[u] += c * adjoint
-    return value, adjoints, total
 
 
 def _program(g, k):
@@ -517,7 +517,12 @@ def _as_integers(x):
 
 def density(g, w):
     """Homomorphism density t(g, w) of a pattern graph in a step graphon."""
-    t = float(_contract(g, [w.masses] * g.vertex_count, w.weights))
+    return _in_range(_contract(g, [w.masses] * g.vertex_count, w.weights))
+
+
+def _in_range(t):
+    """Contraction t as a density: float noise past [0, 1] clamped, beyond it raises."""
+    t = float(t)
     if not -_CLAMP_TOL <= t <= 1.0 + _CLAMP_TOL:
         raise DiscrepancyError(f"t(g, W) = {t!r} lies outside [0, 1]")
     # all terms are nonnegative; clamp float noise at the boundary

@@ -3,18 +3,19 @@
 The maximized ratio is a certified lower bound on the domination exponent
 rho(G,H).  The optimizer is multi-start projected gradient ascent over the
 block masses (probability simplex with a floor) and the symmetric weight
-matrix (entries clipped to [0,1]), with gradients taken by one reverse
-sweep through the density's own contraction program.
+matrix (entries clipped to [0,1]).  One run of a pattern's contraction program
+gives its density, and one reverse sweep of the run's tape its gradient.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _program, _sweep, density, json_number
+from .density import _evaluate, _in_range, _program, _sweep, density, json_number
 from .errors import DiscrepancyError, DomainError
 from .graphs import WeightedGraph, as_graph
 from .verify import PROFILES, sample_weighted_graph
@@ -26,29 +27,34 @@ def density_gradient(g, w):
     Entry (i,j), i != j, of d/d weights is the derivative when w[i,j] and
     w[j,i] move together; the diagonal moves alone.  Matches a central
     finite difference that perturbs symmetrically.  Every partial comes from
-    one reverse sweep through g's own contraction program (density._sweep),
-    whose cost does not grow with the number of coordinates.
+    one reverse sweep over the tape of g's own contraction program
+    (density._sweep), whose cost does not grow with the number of coordinates.
     """
+    return _swept(g, w)[1:]
+
+
+def _swept(g, w):
+    """(t(g, w), d/d masses, d/d weights) from one run of g's program, t
+    bit-identical to density(g, w), and one reverse sweep of the run's tape."""
     k = w.block_count
     if g.vertex_count == 0:
-        return np.zeros(k), np.zeros((k, k))
-    plan = _program(g, k)
-    _, factors, total = _sweep(plan, [w.masses] * g.vertex_count, w.weights)
-    return sum(factors), total + total.T - np.diag(np.diag(total))
+        return 1.0, np.zeros(k), np.zeros((k, k))
+    tape = []
+    t = _evaluate(_program(g, k), [w.masses] * g.vertex_count, w.weights, tape)
+    factors, total = _sweep(tape, g.vertex_count, w.weights)
+    return _in_range(t), sum(factors), total + total.T - np.diag(np.diag(total))
 
 
 def ratio_objective(g, h, w):
     """(ratio, d ratio/d masses, d ratio/d weights) for
     ratio = log t(H,W)/log t(G,W); requires 0 < t(G,W) < 1."""
-    tg = density(g, w)
-    th = density(h, w)
+    tg, gm, gw = _swept(g, w)
     if not 0.0 < tg < 1.0:
         raise DomainError("ratio objective needs 0 < t(G,W) < 1")
+    th, hm, hw = _swept(h, w)
     if th <= 0.0:
         raise DomainError("ratio objective needs t(H,W) > 0")
     lg, lh = math.log(tg), math.log(th)
-    gm, gw = density_gradient(g, w)
-    hm, hw = density_gradient(h, w)
     # d(log t)/dx = (dt/dx)/t; quotient rule on lh/lg
     dm = (hm / th * lg - lh * gm / tg) / lg**2
     dw = (hw / th * lg - lh * gw / tg) / lg**2
@@ -173,12 +179,15 @@ def search_lower_bound(g_spec, h_spec, config=None):
     g, h = as_graph(g_spec), as_graph(h_spec)
     if g.edge_count == 0 or h.edge_count == 0:
         raise DomainError("search requires both patterns to have edges")
-    if not all(1 <= k <= 8 for k in cfg.block_counts):  # sample_weighted_graph's sizes
-        raise DomainError(f"search block counts must lie in 1..8, got {cfg.block_counts}")
-    if cfg.restarts < 0 or cfg.iterations < 0:
+    try:  # numpy integers pass; floats, and a bare count for block_counts, do not
+        counts = [operator.index(n) for n in (*cfg.block_counts, cfg.restarts, cfg.iterations)]
+    except TypeError:
+        counts = None
+    # block counts are sample_weighted_graph's sizes
+    if counts is None or not all(1 <= k <= 8 for k in counts[:-2]) or min(counts[-2:]) < 0:
         raise DomainError(
-            f"search restarts and iterations must be nonnegative, "
-            f"got {cfg.restarts} and {cfg.iterations}"
+            "search block counts must be integers in 1..8, and restarts and iterations "
+            f"nonnegative integers; got {cfg}"
         )
 
     res = rho_exact(g, h)

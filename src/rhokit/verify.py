@@ -452,6 +452,10 @@ def run_suite(suite, trials, seed):
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
+    try:  # numpy integers become Python ints; floats are rejected
+        trials, seed = operator.index(trials), operator.index(seed)
+    except TypeError:
+        raise DomainError(f"trials and seed must be integers, got {trials!r} and {seed!r}") from None
     if trials < 0:
         raise DomainError(f"trials must be >= 0, got {trials}")
     fn = SUITES[suite]

@@ -33,6 +33,7 @@ from rhokit import (
     parse_graph_spec,
     path,
     path_density,
+    ratio_objective,
     sample_weighted_graph,
     spectrum,
     star,
@@ -43,6 +44,7 @@ from test_acceptance import _partitions
 
 # the package's density() function shadows the module's attribute name
 density_module = importlib.import_module("rhokit.density")
+search_module = importlib.import_module("rhokit.search")
 
 
 def graphons(count, seed, sizes=(2, 3, 4, 5)):
@@ -219,17 +221,29 @@ def greedy_gradient(g, w):
     """Reference gradient of t(g, w): one free vertex per mass term and one
     edge-deleted pattern with two free vertices per weight term, each
     contracted by greedy_einsum; symmetric weight pairs move together."""
-    k, mu = w.block_count, w.masses
-    ref_m = np.zeros(k)
+    return greedy_gradient_of(g, w.masses, w.weights)
+
+
+def greedy_gradient_of(g, mu, weights):
+    """greedy_gradient on bare masses and weights, in their own dtype."""
+    k = mu.size
+    ref_m = np.zeros(k, dtype=mu.dtype)
     for v in range(g.vertex_count):
         factors = [mu] * g.vertex_count
-        factors[v] = np.ones(k)
-        ref_m += greedy_einsum(g, factors, w.weights, (v,))
-    ref_w = np.zeros((k, k))
+        factors[v] = np.ones_like(mu)
+        ref_m += greedy_einsum(g, factors, weights, (v,))
+    ref_w = np.zeros((k, k), dtype=weights.dtype)
     for u, v in sorted(g.edges):
         rest = Graph.from_edges(g.vertex_count, g.edges - {(u, v)})
-        ref_w += greedy_einsum(rest, [mu] * g.vertex_count, w.weights, (u, v))
+        ref_w += greedy_einsum(rest, [mu] * g.vertex_count, weights, (u, v))
     return ref_m, ref_w + ref_w.T - np.diag(np.diag(ref_w))
+
+
+def support_gradient(g, w):
+    """greedy_gradient on w's support graphon (every mass 1, every positive
+    weight 1), counted in exact integers: a partial of t(g, w) is exactly 0
+    iff it is 0 here, as t has nonnegative coefficients."""
+    return greedy_gradient_of(g, np.ones(w.block_count, dtype=np.int64), (w.weights > 0) * 1)
 
 
 # numpy 2.4's optimized einsum joins pairs by batched matmul, as the compiled
@@ -297,20 +311,43 @@ class TestPlanCache:
         assert _plan.cache_info().misses == 1
 
     def test_gradient_is_one_sweep_not_per_coordinate_passes(self, monkeypatch):
-        # every _contract call runs its program through _evaluate
+        # the gradient reads the tape of one _evaluate run, the density's own
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return evaluate(*args, **kwargs)
+        def counted(plan, *args):
+            calls.append(plan)
+            return evaluate(plan, *args)
 
         evaluate = density_module._evaluate
-        monkeypatch.setattr(density_module, "_evaluate", counted)
-        g, w = path(5), random_graphon(8, seed=8)
+        for module in (density_module, search_module):
+            monkeypatch.setattr(module, "_evaluate", counted)
+        g, h, w = path(5), cycle(3), random_graphon(8, seed=8)
         _plan.cache_clear()
         density_gradient(g, w)
-        assert calls == []
+        assert calls == [_plan(g, 8)]
         assert _plan.cache_info().misses == 1
+        calls.clear()
+        ratio_objective(h, g, w)
+        assert calls == [_plan(h, 8), _plan(g, 8)]
+        assert _plan.cache_info().misses == 2  # one program per pattern
+
+    @pytest.mark.parametrize("spec", PLAN_PATTERNS)
+    def test_swept_value_is_the_density(self, spec):
+        g = parse_graph_spec(spec)
+        for w in graphons(5, seed=64, sizes=(1, 2, 3, 5, 8)):
+            assert search_module._swept(g, w)[0] == density(g, w)
+            with slice_at(1):  # every give-up join sliced, slices nested
+                assert search_module._swept(g, w)[0] == density(g, w)
+
+    def test_swept_value_is_the_density_when_sliced(self):
+        g, w = complete(4), random_graphon(33, seed=33)
+        assert sliced(_plan(g, 33))
+        assert search_module._swept(g, w)[0] == density(g, w)
+        w = random_graphon(3, seed=3)
+        with slice_at(1):
+            for g in (complete(5), parse_graph_spec("2xK4")):  # nested, and one per component
+                assert sliced(_plan(g, 3))
+                assert search_module._swept(g, w)[0] == density(g, w)
 
     def test_hom_count_bit_identical_to_greedy(self):
         for spec in PLAN_PATTERNS:
@@ -567,11 +604,13 @@ def test_sliced_gradient_matches_greedy(nv, keep, k, weight_exp, tiny_exp, seed)
     with slice_at(1):
         gm, gw = density_gradient(g, w)
     ref_m, ref_w = greedy_gradient(g, w)
-    # terms near 2**-1074 are subnormal on both sides
-    for got, ref in [(gm, ref_m), (gw, ref_w)]:
+    zero_m, zero_w = support_gradient(g, w)
+    # terms near 2**-1074 are subnormal on both sides; the reference may
+    # underflow a positive subnormal partial to 0, so zeros come from structure
+    for got, ref, zero in [(gm, ref_m, zero_m), (gw, ref_w, zero_w)]:
         bad = np.abs(got - ref) > 1e-12 * np.abs(ref) + 2.0**-1050
         assert not bad.any(), (got[bad], ref[bad])
-        assert not got[ref == 0].any()  # exact zeros stay exact
+        assert not got[zero == 0].any()  # exact zeros stay exact
 
 
 def random_pattern(nv, keep):

@@ -102,10 +102,14 @@ class TestLineSearchRatio:
             WeightedGraph([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]),  # bipartite
         ]
         pairs = [("C3", "C4"), ("P5", "P3"), ("K3", "K2"), ("K2", "K3"), ("C4", "C3")]
+        cfg = SearchConfig(block_counts=(2, 3), restarts=1, iterations=10, seed=5)
         seen = set()
         for gs, hs in pairs:
             g, h = parse_graph_spec(gs), parse_graph_spec(hs)
-            for w in graphons:
+            # the ascent's end point too: its ratio came from ratio_objective's sweeps
+            found = search_lower_bound(gs, hs, cfg)
+            assert _feasible_ratio(g, h, found.best_graphon, margin) == found.best_ratio
+            for w in [*graphons, found.best_graphon]:
                 feasible = 0.0 < density(g, w) <= 1.0 - margin and density(h, w) > 0.0
                 r = _feasible_ratio(g, h, w, margin)
                 if feasible:
@@ -163,6 +167,28 @@ class TestSearch:
     def test_rejects_edgeless(self):
         with pytest.raises(DomainError):
             search_lower_bound("2xK1", "K2")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(block_counts=(2.5,)),
+            dict(block_counts=2),
+            dict(block_counts="2"),
+            dict(restarts=1.5),
+            dict(iterations=2.5),
+        ],
+    )
+    def test_non_integer_config_rejected(self, bad):
+        with pytest.raises(DomainError, match="must be integers"):
+            search_lower_bound("C3", "C4", SearchConfig(**bad))
+
+    def test_numpy_integer_config(self):
+        cfg = SearchConfig(
+            block_counts=(np.int64(2),), restarts=np.int64(1), iterations=np.int32(5)
+        )
+        res = search_lower_bound("K3", "K2", cfg)
+        plain = SearchConfig(block_counts=(2,), restarts=1, iterations=5)
+        assert res.to_json() == search_lower_bound("K3", "K2", plain).to_json()
 
     def test_json_and_dump(self):
         cfg = SearchConfig(block_counts=(2,), restarts=1, iterations=30, seed=2)

@@ -114,6 +114,18 @@ class TestSuites:
         with pytest.raises(DomainError):
             run_suite("hub", -3, 0)
 
+    @pytest.mark.parametrize("trials,seed", [(5, 1.5), (2.0, 1), ("2", 1), (2, None)])
+    def test_non_integer_trials_or_seed_rejected(self, trials, seed):
+        with pytest.raises(DomainError, match="must be integers"):
+            run_suite("hub", trials, seed)
+        with pytest.raises(DomainError, match="must be integers"):
+            run_all_suites(trials, seed)
+
+    def test_numpy_integer_trials_and_seed(self):
+        rep = run_suite("hub", np.int64(3), np.int32(4))
+        assert rep.to_json() == run_suite("hub", 3, 4).to_json()
+        assert type(rep.trials) is int
+
     def test_report_reproducible(self):
         a = run_suite("holder", 30, seed=4).to_json()
         b = run_suite("holder", 30, seed=4).to_json()

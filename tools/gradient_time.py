@@ -13,8 +13,13 @@ of timings are printed as one JSON object:
 - search_cpu_s: the process CPU seconds of search_lower_bound over C3/C4,
   P5/P3, K3/K2, P3/P2 and C5/C3, once with the default SearchConfig and
   once with block_counts=(8,).
+- evaluate_runs: the number of contraction program runs (density._evaluate)
+  over those same five searches.  Each density and each ratio_objective
+  pattern runs its program once, the gradient reading the run's tape.  The
+  count costs one Python call per run inside the timed searches.
 """
 
+import importlib
 import json
 import time
 
@@ -51,19 +56,38 @@ def gradient_ms(g, w, repeats=3, target_s=0.05):
     return best * 1000
 
 
-def search_cpu_s(cfg):
-    start = time.process_time()
-    for g, h in SEARCH_PAIRS:
-        search_lower_bound(g, h, cfg)
-    return time.process_time() - start
+def search_run(cfg):
+    """(CPU seconds, _evaluate runs) of the five searches."""
+    modules = [importlib.import_module(f"rhokit.{name}") for name in ("density", "search")]
+    evaluate = modules[0]._evaluate
+    runs = 0
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return evaluate(*args)
+
+    for module in modules:
+        module._evaluate = counted
+    try:
+        start = time.process_time()
+        for g, h in SEARCH_PAIRS:
+            search_lower_bound(g, h, cfg)
+        return time.process_time() - start, runs
+    finally:
+        for module in modules:
+            module._evaluate = evaluate
 
 
 if __name__ == "__main__":
     assert isinstance(_plan(parse_graph_spec("K4"), 33).steps[0], _Sliced)
+    gradients = {
+        f"{spec}@{k}": gradient_ms(parse_graph_spec(spec), random_graphon(k, seed=k))
+        for spec, k in GRADIENT_CASES
+    }
+    searches = {name: search_run(cfg) for name, cfg in SEARCH_CONFIGS.items()}
     print(json.dumps({
-        "gradient_ms": {
-            f"{spec}@{k}": gradient_ms(parse_graph_spec(spec), random_graphon(k, seed=k))
-            for spec, k in GRADIENT_CASES
-        },
-        "search_cpu_s": {name: search_cpu_s(cfg) for name, cfg in SEARCH_CONFIGS.items()},
+        "gradient_ms": gradients,
+        "search_cpu_s": {name: seconds for name, (seconds, _) in searches.items()},
+        "evaluate_runs": {name: runs for name, (_, runs) in searches.items()},
     }))  # fmt: skip
