@@ -6,18 +6,17 @@ weight matrix, and every index is summed.  The vertex-elimination dynamic
 program follows numpy's greedy einsum path.  The path is found in-house:
 numpy's greedy rule (opt_einsum's) run on bitmasks of each operand's
 vertices, so planning does not depend on the installed numpy's
-einsum_path.  On k >= _threshold(g) blocks, 4 for patterns of five or more
-vertices and max(4, 2(|V| + |E|) - 2) otherwise, the path is the same for
-every k (_threshold proves it), so it is replayed once per pattern there,
-once per block count below it, and each block count fills in its own
-sizes and slicing decision: a cached program of steps, step for step the
-one replayed at k.  A step joining two operands runs the way numpy's
-bmm_einsum runs it: a one-operand einsum and a reshape on each side where
-needed, np.matmul or np.multiply, then a reshape and transpose.  Any other
-step is one plain np.einsum.  A call runs these steps and plans nothing.
-On numpy 2.4, whose optimized einsum joins pairs by this batched-matmul
-scheme, it gets the same bits as np.einsum(optimize="greedy"); older
-releases join pairs by tensordot, and there the two agree to rounding.
+einsum_path.  From 2 blocks on the path does not depend on the block
+count (_replay proves it), so it is replayed once per pattern, and once
+more for 1 block.  Each block count fills in its own sizes and slicing
+decision: a cached program of steps, step for step the one replayed at
+k.  A step joining two operands runs the way numpy's bmm_einsum runs it:
+a one-operand einsum and a reshape on each side where needed, np.matmul
+or np.multiply, then a reshape and transpose.  Any other step is one
+plain np.einsum.  A call runs these steps and plans nothing.  On numpy
+2.4, whose optimized einsum joins pairs by this batched-matmul scheme, it
+gets the same bits as np.einsum(optimize="greedy"); older releases join
+pairs by tensordot, and there the two agree to rounding.
 Object operands stay object through every step, 0-d results included, so
 counts past int64 stay exact.  search.density_gradient differentiates the
 same run: _evaluate records each step's operands, and _sweep walks them back.
@@ -175,32 +174,6 @@ def _greedy_path(masks, k):
     return path
 
 
-def _threshold(g):
-    """T(g): on every k >= T(g) blocks, g's greedy path is its path on T(g).
-
-    _greedy_path uses k only to compare sizes.  Every operand holds at most
-    two indices, and greedy keeps no result larger than its largest
-    operand, so a step removes k**p + k**q - k**r elements, p, q, r <= 2,
-    and costs c * k**e flops, c in {1, 2}, e <= 4.
-    - Keys.  Two removed sizes differ by three terms +k**x and three -k**y,
-      x, y <= 2.  Unless they all cancel, the difference has the sign of
-      its leading term, of size at least k**d: the at most three terms of
-      the other sign below it sum to at most 3 * k**(d - 1) < k**d for
-      k >= 4.  Flop counts compare by e, then c, for k >= 3.  So keys
-      compare and tie for every k >= 4 as they do for large k.
-    - Size limit: it compares powers of k, the same for every k >= 2.
-    - Naive cost: cost + flops <= n * k**|V|, with n = |V| + |E| operands
-      and at most n - 1 flop counts summed, their c adding up to at most
-      2n - 2.  If |V| >= 5 each count is at most 2 * k**4, and the test
-      passes for every k >= 2.  Otherwise each has e <= |V|.  If the
-      coefficient of k**|V| in n * k**|V| - (cost + flops) is positive,
-      the difference is at least k**|V| - (2n - 2) * k**(|V| - 1) >= 0 for
-      k >= 2n - 2; if not, it is negative for every k, or 0 for every k.
-    """
-    n = g.vertex_count + g.edge_count
-    return 4 if g.vertex_count >= 5 else max(4, 2 * n - 2)
-
-
 class _Replay(NamedTuple):
     """The greedy path replayed on the operands' index strings, every size
     an exponent of the block count."""
@@ -212,8 +185,34 @@ class _Replay(NamedTuple):
 
 @functools.lru_cache(maxsize=1024)
 def _replay(g, k):
-    """Replay of g's greedy path on k blocks, as _plan describes it.  It is
-    the same for every k >= _threshold(g), so _plan replays at most there."""
+    """Replay of g's greedy path on k blocks, as _plan describes it.
+
+    _greedy_path uses k only to compare sizes k**e, and compares them
+    alike on every k >= 2, so _plan replays at min(k, 2):
+    - Invariant.  Index v starts in 1 + deg(v) operands; a join lowers a
+      count of 3 or more by one at most, and a count of 2 or 1 only to 0.
+      So only an isolated vertex's vector holds an index no other holds.
+    - Keys.  No result outgrows the largest operand, so operands hold at
+      most two indices and a key (-gain, flops) comes from a short table:
+      gains 2k**2 - 1, 2k**2 - k, k**2 + k - 1, k**2, k**2 - k + 1,
+      2k - 1, k, 1 and 2k - k**2; flops c * k**e, c in {1, 2}.  Any two
+      order alike on every k >= 2 but two pairs, which tie at k = 2 only.
+      Gain k**2 - k + 1 (against 2k - 1) joins a 0-d operand to a matrix
+      holding an index no other operand holds, which the invariant rules
+      out.  At gain k, flops 2k join a 0-d operand to an isolated vector,
+      flops k**2 a matrix to a vector sharing a kept index.  Only a scan
+      of all pairs adds the former, and it adds none of the latter: counts
+      only fall, so such a pair had its key when first scanned and would
+      still be known, and the scan would not run.  So the former is known
+      first and wins the tie at k = 2 too.
+    - Size limit: it compares powers of k.
+    - Naive cost: cost + flops <= n * k**|V|, n = |V| + |E|, sums at most
+      n - 1 flop counts.  For |V| >= 5 each is at most 2 * k**4, and the
+      test passes on every k >= 2.  Otherwise each has e <= |V| and their
+      c sum to at most 2n - 2, so from k = 2n - 2 on the test goes as on
+      large k, and tests/test_density.py checks k = 2 ... 2n - 2 on every
+      labelled graph of at most 4 vertices.
+    """
     terms = [_LETTERS[v] for v in range(g.vertex_count)]
     terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
     masks = [1 << v for v in range(g.vertex_count)]
@@ -248,11 +247,9 @@ def _plan(g, k):
     result: sorted by letter, as every axis has length k, and empty on the
     last step.  Every shape is known here, so a pairwise step keeps what
     numpy's bmm_einsum would derive on each call; other steps are one plain
-    einsum.  The path is the same for every k >= _threshold(g) (its
-    docstring has the proof), so the replay runs at min(k, _threshold(g)),
-    once per pattern past the threshold, and keeps every size as an
-    exponent of k; here k fills in the shapes, the size and the slicing
-    decision, and the program is step for step the one replayed at k.
+    einsum.  The replay runs at min(k, 2), as the path is the same on
+    every k >= 2, and keeps every size as an exponent of k; here k fills
+    in the shapes, the size and the slicing decision.
     When greedy finds no pair under its size limit it joins every operand
     left in one step, whose index space the largest intermediate misses.
     If that join has at least _SLICE_AT = 2**15 index combinations, the
@@ -261,7 +258,7 @@ def _plan(g, k):
     per connected component -- greedy gives up on each component that is
     too dense, and one join of them all would nest a slice per part.
     """
-    replay = _replay(g, min(k, _threshold(g)))
+    replay = _replay(g, min(k, 2))
     join = 0 if replay.join is None else k**replay.join
     if join < _SLICE_AT:
         steps = tuple(_sized(step, k) for step in replay.steps)

@@ -23,6 +23,7 @@ reproducible):
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -427,9 +428,14 @@ def _parse(s, full):
 def parse_count(text, what):
     """A count written as an integer or as a float such as 1e6."""
     try:
-        return int(float(text))
-    except (ValueError, OverflowError):
-        raise DomainError(f"{what} {text!r} is not a finite number") from None
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise DomainError(f"{what} {text!r} is not a finite number")
+    if not x.is_integer():
+        raise DomainError(f"{what} {text!r} is not an integer")
+    return int(x)
 
 
 def load_edge_list(path_):
@@ -531,6 +537,6 @@ class WeightedGraph:
             raise DomainError("graphon file holds a token that is not a number") from None
         if k < 1:
             raise DomainError(f"graphon block count must be positive, got {k}")
-        if len(numbers) < k + k * k:
+        if len(tokens) != 1 + k + k * k:
             raise DomainError(f"graphon file needs {1 + k + k * k} numbers, found {len(tokens)}")
         return cls(numbers[:k], np.array(numbers[k:]).reshape(k, k))

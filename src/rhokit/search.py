@@ -10,6 +10,7 @@ gives its density, and one reverse sweep of the run's tape its gradient.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -188,6 +189,13 @@ def search_lower_bound(g_spec, h_spec, config=None):
         raise DomainError(
             "search block counts must be integers in 1..8, and restarts and iterations "
             f"nonnegative integers; got {cfg}"
+        )
+    step0, margin, floor = cfg.step0, cfg.margin, cfg.mass_floor
+    reals = all(isinstance(x, numbers.Real) for x in (step0, margin, floor))
+    if not (reals and 0 < step0 < math.inf and 0 < margin < 1 and 0 < floor < math.inf):
+        raise DomainError(
+            "search step0 and mass_floor must be finite positive numbers, and margin "
+            f"a number in (0, 1); got {cfg}"
         )
 
     res = rho_exact(g, h)

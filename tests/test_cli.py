@@ -241,10 +241,12 @@ class TestMalformedInput:
             ("density", "K2", "--graphon", "builtin:constant_p:0.5:junk"),
             ("certify", "K2", "C4", "--family", "kpartite_unbalanced", "--params", "2.5", "1",
              "--scales", "10"),
+            ("certify", "C3", "C4", "--family", "two_clique", "--scales", "1.5,2.7"),
+            ("density", "K2", "--graphon", "builtin:looped_star@2.5"),
         ],
         ids=["scale-overflow", "scale-abc", "blocks-x", "blocks-0", "builtin-param-abc",
              "builtin-scale-abc", "constant_p-without-params", "builtin-extra-field",
-             "kpartite-fractional-k"],
+             "kpartite-fractional-k", "scale-fractional", "builtin-scale-fractional"],
     )
     def test_argument(self, capsys, args):
         assert_input_error(capsys, args, "domain")
@@ -263,8 +265,13 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "text",
-        ["-1\n", "2\nabc 0.5\n1 0\n0 0\n", "2\nnan 0.5\n1 0\n0 0\n"],
-        ids=["negative-block-count", "abc", "nan-mass"],
+        [
+            "-1\n",
+            "2\nabc 0.5\n1 0\n0 0\n",
+            "2\nnan 0.5\n1 0\n0 0\n",
+            "2\n0.5 0.5\n1 0\n0 1\n7 8 9\n",
+        ],
+        ids=["negative-block-count", "abc", "nan-mass", "extra-tokens"],
     )
     def test_graphon_file(self, capsys, tmp_path, text):
         f = tmp_path / "w.graphon"

@@ -39,7 +39,7 @@ from rhokit import (
     star,
 )
 from rhokit.constructions import build_construction
-from rhokit.density import _contract, _greedy_path, _Pair, _plan, _replay, _Sliced, _threshold
+from rhokit.density import _contract, _greedy_path, _Pair, _plan, _replay, _Sliced
 from test_acceptance import _partitions
 
 # the package's density() function shadows the module's attribute name
@@ -490,7 +490,7 @@ class TestSlicing:
     def test_mid_size_join_sliced(self, spec, k):
         # give-up joins of 2**15 up to 2**20 index combinations are sliced too
         g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
-        assert 2**15 <= k ** _replay(g, min(k, _threshold(g))).join < 2**20
+        assert 2**15 <= k ** _replay(g, min(k, 2)).join < 2**20
         assert sliced(_plan(g, k))
         assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
         gm, gw = density_gradient(g, w)
@@ -618,16 +618,21 @@ def random_pattern(nv, keep):
     return Graph.from_edges(nv, [e for e, kept in zip(pairs, keep) if kept])
 
 
-def past_threshold(g):
-    """Block counts at and past g's threshold (it is at most 18)."""
-    t = _threshold(g)
-    return (t, t + 1, 2 * t, 33, 80)
+# block counts from 2 on, where every pattern's greedy path is its path on 2
+BLOCK_COUNTS = (2, 3, 4, 33, 80)
+
+
+def labelled_graphs(nv):
+    """Every graph on vertices 0 .. nv - 1."""
+    pairs = nv * (nv - 1) // 2
+    for bits in range(1 << pairs):
+        yield random_pattern(nv, [bits >> i & 1 for i in range(pairs)])
 
 
 def replayed_at(g, k):
-    """g's program on k blocks, filled in from a replay run at k itself."""
+    """g's program on k blocks, filled in from an uncached replay at k itself."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(density_module, "_threshold", lambda _: math.inf)
+        mp.setattr(density_module, "_replay", lambda g, _: _replay.__wrapped__(g, k))
         _plan.cache_clear()
         try:
             return _plan(g, k)
@@ -635,11 +640,20 @@ def replayed_at(g, k):
             _plan.cache_clear()
 
 
+# _replay's docstring proves the path the same on every k >= 2; its
+# naive-cost step for patterns of at most 4 vertices rests on the first test
 class TestThreshold:
-    def test_threshold_values(self):
-        # 4 from five vertices on; else max(4, 2n - 2) over n = |V| + |E| operands
-        cases = {"K2": 4, "K3": 10, "P3": 12, "K4": 18, "C5": 4, "K[2,3]": 4}
-        assert {spec: _threshold(parse_graph_spec(spec)) for spec in cases} == cases
+    def test_every_small_graph_has_one_path_from_2_blocks(self):
+        # on at most 4 vertices, k up to 2n - 2, n = |V| + |E|, past which the
+        # naive-cost test goes as on large k; on 5 vertices, where that test
+        # always passes, k = 3 and 4 (k up to 2n - 2 would take seconds)
+        graphs = [g for nv in range(1, 6) for g in labelled_graphs(nv)]
+        assert len(graphs) == 75 + 1024
+        for g in graphs:
+            masks = operand_masks(g)
+            at_2 = _greedy_path(masks, 2)
+            for k in range(3, 2 * len(masks) - 1) if g.vertex_count <= 4 else (3, 4):
+                assert _greedy_path(masks, k) == at_2, (sorted(g.edges), k)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -649,16 +663,16 @@ class TestThreshold:
     def test_path_is_constant_past_threshold(self, nv, keep):
         g = random_pattern(nv, keep)
         masks = operand_masks(g)
-        at_threshold = _greedy_path(masks, _threshold(g))
-        for k in past_threshold(g):
-            assert _greedy_path(masks, k) == at_threshold, k
+        at_2 = _greedy_path(masks, 2)
+        for k in BLOCK_COUNTS:
+            assert _greedy_path(masks, k) == at_2, k
 
     def test_named_paths_are_constant_past_threshold(self):
         for g in {g for g, _ in NAMED_PATH_CASES}:
             masks = operand_masks(g)
-            at_threshold = _greedy_path(masks, _threshold(g))
-            for k in (*range(_threshold(g), _threshold(g) + 5), 2**300):
-                assert _greedy_path(masks, k) == at_threshold, (sorted(g.edges), k)
+            at_2 = _greedy_path(masks, 2)
+            for k in (*range(3, 8), 2**300):
+                assert _greedy_path(masks, k) == at_2, (sorted(g.edges), k)
 
     @pytest.mark.skipif(not GREEDY_BITS, reason="the greedy rule is numpy 2.4's")
     @settings(max_examples=100, deadline=None)
@@ -668,9 +682,9 @@ class TestThreshold:
     )
     def test_numpy_path_is_constant_past_threshold(self, nv, keep):
         g = random_pattern(nv, keep)
-        at_threshold = _greedy_path(operand_masks(g), _threshold(g))
-        for k in past_threshold(g):
-            assert greedy_path_pair(g, k)[1] == at_threshold, k
+        at_2 = _greedy_path(operand_masks(g), 2)
+        for k in BLOCK_COUNTS:
+            assert greedy_path_pair(g, k)[1] == at_2, k
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -679,7 +693,7 @@ class TestThreshold:
     )
     def test_program_is_the_one_replayed_at_k(self, nv, keep):
         g = random_pattern(nv, keep)
-        for k in (1, 2, 3, *past_threshold(g)):
+        for k in (1, *BLOCK_COUNTS):
             assert _plan(g, k) == replayed_at(g, k), k
 
     @pytest.mark.parametrize(
@@ -687,11 +701,13 @@ class TestThreshold:
         [
             pytest.param(spec, ks, id=spec)
             for spec, ks in [
-                ("P3", (20, 24)),
+                ("P3", (*range(2, 12), 20, 24)),
+                ("C4", range(2, 12)),
                 ("C5", (20, 24)),
-                ("paw", (20, 24)),
-                ("K[2,3]", (20, 24)),
-                # K5 ends in a give-up join of k**5 < 2**15 index combinations
+                ("paw", (*range(2, 12), 20, 24)),
+                ("K[2,3]", (*range(2, 12), 20, 24)),
+                # K4 and K5 end in give-up joins of k**4 and k**5 < 2**15
+                ("K4", range(2, 12)),
                 ("K5", (6, 7)),
             ]
         ],
@@ -699,7 +715,7 @@ class TestThreshold:
     def test_bit_identical_to_greedy_past_threshold(self, spec, ks):
         g = parse_graph_spec(spec)
         for k in ks:
-            assert k >= _threshold(g) and not sliced(_plan(g, k))
+            assert not sliced(_plan(g, k))
             w = random_graphon(k, seed=k)
             ref = float(greedy_einsum(g, [w.masses] * g.vertex_count, w.weights))
             assert_matches_greedy(density(g, w), ref)
@@ -714,7 +730,7 @@ class TestThreshold:
         _replay.cache_clear()
         assert not sliced(_plan(g, 7))  # 7**5 < 2**15
         assert sliced(_plan(g, 12))
-        # K5's replay on 4 blocks serves both; the other is the K4 left by
+        # K5's replay on 2 blocks serves both; the other is the K4 left by
         # slicing, unsliced on 12 blocks (12**4 < 2**15)
         assert _replay.cache_info().misses == 2
 
@@ -722,12 +738,12 @@ class TestThreshold:
     def test_no_give_up_join_never_slices(self, spec):
         g = parse_graph_spec(spec)
         with slice_at(1):
-            for k in (1, 2, 3, *past_threshold(g)):
-                assert _replay(g, min(k, _threshold(g))).join is None
+            for k in (1, *BLOCK_COUNTS):
+                assert _replay(g, min(k, 2)).join is None
                 assert not sliced(_plan(g, k))
 
     def test_pair_shapes_are_tuples(self):
-        # one replay's steps serve every block count past the threshold
+        # one replay's steps serve every block count from 2 on
         joins = set()
 
         def check(plan):
@@ -744,7 +760,7 @@ class TestThreshold:
             g = parse_graph_spec(spec)
             for k in (1, 2, 3, 20, 40):
                 check(_plan(g, k))
-                check(_replay(g, min(k, _threshold(g))))
+                check(_replay(g, min(k, 2)))
         assert joins == {np.matmul, np.multiply}
 
 

@@ -182,6 +182,27 @@ class TestSearch:
         with pytest.raises(DomainError, match="must be integers"):
             search_lower_bound("C3", "C4", SearchConfig(**bad))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(step0=math.nan),
+            dict(step0=math.inf),
+            dict(step0="a"),
+            dict(step0=0.0),
+            dict(step0=-1.0),
+            dict(margin=-0.5),
+            dict(margin=0),
+            dict(margin=1.0),
+            dict(margin=None),
+            dict(mass_floor=-0.1),
+            dict(mass_floor=0.0),
+            dict(mass_floor=math.nan),
+        ],
+    )
+    def test_bad_float_config_rejected(self, bad):
+        with pytest.raises(DomainError, match="step0 and mass_floor must be finite positive"):
+            search_lower_bound("C3", "C4", SearchConfig(**bad))
+
     def test_numpy_integer_config(self):
         cfg = SearchConfig(
             block_counts=(np.int64(2),), restarts=np.int64(1), iterations=np.int32(5)

@@ -8,7 +8,9 @@ patterns on 32-80 blocks) and the 60 of acceptance criterion 8 (the complete
 multipartite graphs of the partitions of 10 into at most 5 parts, on 2 and 3
 blocks).  Each set is built 5 times, each time after clearing every
 plan-level cache (the programs and the per-pattern replays they are filled
-in from), and the best time is printed as JSON in milliseconds.
+in from).  Printed as JSON: per set, the best time in milliseconds and the
+number of greedy-path replays one cold build runs (_replay's cache misses;
+null for a checkout without _replay).
 """
 
 import importlib
@@ -49,6 +51,7 @@ CRITERION_8 = [(multipartite(p), k) for p in partitions(10, 5) for k in (2, 3)]
 
 
 def best_ms(programs, repeats=5):
+    """(best build time in ms, cold replay count) of programs."""
     best = float("inf")
     for _ in range(repeats):
         for cache in PLAN_CACHES:
@@ -57,12 +60,13 @@ def best_ms(programs, repeats=5):
         for g, k in programs:
             density_module._plan(g, k)
         best = min(best, time.perf_counter() - start)
-    return best * 1000
+    replay = getattr(density_module, "_replay", None)
+    return best * 1000, replay and replay.cache_info().misses
 
 
 if __name__ == "__main__":
     assert len(DENSITY_LARGE) == 104 and len(CRITERION_8) == 60
-    print(json.dumps({
-        "density_large_ms": best_ms(DENSITY_LARGE),
-        "criterion_8_ms": best_ms(CRITERION_8),
-    }))  # fmt: skip
+    report = {}
+    for name, programs in (("density_large", DENSITY_LARGE), ("criterion_8", CRITERION_8)):
+        report[f"{name}_ms"], report[f"{name}_replays"] = best_ms(programs)
+    print(json.dumps(report))

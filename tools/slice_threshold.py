@@ -47,7 +47,7 @@ def random_graphon(k, seed):
 
 def give_up_join(g, k):
     """Index combinations of the give-up join ending g's program, or None."""
-    join = density_module._replay(g, min(k, density_module._threshold(g))).join
+    join = density_module._replay(g, k).join
     return None if join is None else k**join
 
 
