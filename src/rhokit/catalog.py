@@ -21,7 +21,10 @@ Provenance tags emitted by the dispatcher:
 * ``construction-lower`` / ``blowup-upper`` / ``composition-upper``
 * ``blowup-budget-exhausted``   -- the blowup search ran out of its budget
 
-Every bracket end is a theorem, so a bracket whose ends meet is ``exact``.
+Each branch gives only the bracket ends its own theorem proves; the
+universal construction lower bound is applied once, where an ``interval``
+or ``unknown`` bracket is tightened.  Every bracket end is a theorem, so a
+bracket whose ends meet is ``exact``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from fractions import Fraction
 from .density import delta_index, hom_count, independence_number, json_number
 from .errors import DomainError
 from .graphs import (
+    _integers,
     as_complete,
     as_cycle,
     as_graph,
@@ -52,7 +56,7 @@ STATUSES = ("exact", "interval", "conjectured", "infinite", "unknown")
 class RhoResult:
     status: str
     value: object = None  # Fraction, or None
-    lower: object = None  # Fraction, or math.inf for infinite
+    lower: object = None  # Fraction, math.inf for infinite, or None if unproven
     upper: object = None  # Fraction, or None
     provenance: tuple = ()
 
@@ -67,7 +71,7 @@ class RhoResult:
             object.__setattr__(self, "upper", None)
         if (
             self.status == "interval"
-            and self.upper is not None
+            and None not in (self.lower, self.upper)
             and self.lower > self.upper
         ):
             raise DomainError(f"interval lower {self.lower} > upper {self.upper}")
@@ -103,7 +107,7 @@ class RhoResult:
 def part_sizes(seq):
     """Normalize a part-size vector: nonnegative ints, nonincreasing order,
     at least one positive entry."""
-    sizes = tuple(sorted((int(s) for s in seq), reverse=True))
+    sizes = tuple(sorted(_integers(seq, "part sizes {} must be integers"), reverse=True))
     if any(s < 0 for s in sizes):
         raise DomainError("part sizes must be nonnegative")
     if not sizes or sizes[0] == 0:
@@ -274,7 +278,7 @@ def _exact(value, *tags):
     return RhoResult("exact", value=Fraction(value), provenance=tags)
 
 
-def _branch_complete(g, h, glb):
+def _branch_complete(g, h):
     s, t = as_complete(g), as_complete(h)
     if s is None or t is None:
         return None
@@ -282,7 +286,7 @@ def _branch_complete(g, h, glb):
     return _exact(Fraction(t, s), "complete-kruskal-katona")
 
 
-def _branch_paths(g, h, glb):
+def _branch_paths(g, h):
     m, n = as_path(g), as_path(h)
     if m is None or n is None:
         return None
@@ -299,12 +303,10 @@ def _branch_paths(g, h, glb):
         )
     # open case: best subgraph upper via the longest odd m' <= m with n+1 | m'+1
     mp = (n + 1) * ((m + 1) // (n + 1)) - 1
-    return RhoResult(
-        "interval", lower=glb, upper=Fraction(n + 1, mp + 1), provenance=("paths-open",)
-    )
+    return RhoResult("interval", upper=Fraction(n + 1, mp + 1), provenance=("paths-open",))
 
 
-def _branch_cycles(g, h, glb):
+def _branch_cycles(g, h):
     m, n_edges = as_cycle(g), as_cycle(h)
     if m is None or n_edges is None:
         return None
@@ -323,13 +325,13 @@ def _branch_cycles(g, h, glb):
     k, n = (m - 1) // 2, (n_edges - 1) // 2
     return RhoResult(
         "interval",
-        lower=max(Fraction(n, k), glb),
+        lower=Fraction(n, k),
         upper=Fraction(math.ceil(Fraction(n, k)) + 1),
         provenance=("odd-cycle-pair",),
     )
 
 
-def _branch_cycle_path(g, h, glb):
+def _branch_cycle_path(g, h):
     m = as_cycle(g)
     n = as_path(h)
     if m is not None and n is not None:
@@ -343,7 +345,7 @@ def _branch_cycle_path(g, h, glb):
     return None
 
 
-def _branch_stars(g, h, glb):
+def _branch_stars(g, h):
     t = as_star(h)
     if t is None:
         return None
@@ -353,8 +355,8 @@ def _branch_stars(g, h, glb):
     if t == 1:
         return _exact(Fraction(2, nv - delta_index(g, 1)), "star-edge-delta")
     if nv >= t + 1:
-        lower = max(glb, Fraction(t + 1, nv - delta_index(g, t)))
-        return RhoResult("interval", lower=lower, upper=None, provenance=("star-delta-lower",))
+        lower = Fraction(t + 1, nv - delta_index(g, t))
+        return RhoResult("interval", lower=lower, provenance=("star-delta-lower",))
     return None
 
 
@@ -374,7 +376,7 @@ def _bipartite_case(a1, a2, b1, b2):
     return None
 
 
-def _branch_bipartite(g, h, glb):
+def _branch_bipartite(g, h):
     a = as_multipartite(g)
     b = as_multipartite(h)
     if a is None or b is None or len(a) != 2 or len(b) != 2:
@@ -387,13 +389,13 @@ def _branch_bipartite(g, h, glb):
         return _exact(value, f"bipartite-case-{case}")
     if a2 >= b2 > 1 and a1 <= b1 and b1 + b2 >= a1 + a2:
         value = max(Fraction(b1 * b2, a1 * a2), Fraction(b1 + b2 - 1, a1 + a2 - 1))
-        return RhoResult(
-            "conjectured", value=value, lower=glb, upper=None, provenance=("bipartite-conjecture",)
-        )
+        # never tightened, so the conjecture states the universal lower end itself
+        lower = general_lower_bounds(g, h)
+        return RhoResult("conjectured", value, lower, provenance=("bipartite-conjecture",))
     return None
 
 
-def _branch_multipartite(g, h, glb):
+def _branch_multipartite(g, h):
     b = as_multipartite(g)
     a = as_multipartite(h)
     if a is None or b is None:
@@ -405,7 +407,7 @@ def _branch_multipartite(g, h, glb):
     return None
 
 
-def _branch_hub(g, h, glb):
+def _branch_hub(g, h):
     n = as_complete(g)
     if n is None or n < 2:
         return None
@@ -415,7 +417,7 @@ def _branch_hub(g, h, glb):
     return _exact(Fraction(1 + sum(a)), "hub-clique")
 
 
-def _branch_paw(g, h, glb):
+def _branch_paw(g, h):
     if is_paw(g) and as_cycle(h) == 4:
         return _exact(Fraction(4, 3), "paw-square")
     return None
@@ -435,7 +437,7 @@ _BRANCHES = (
 
 # intermediates scanned for the composition upper bound
 # rho(G,J) <= rho(G,H) * rho(H,J)
-_INTERMEDIATE_SPECS = ("K2", "P2", "P3", "P4", "K3", "C4", "C5", "C6", "S3")
+_INTERMEDIATES = tuple(map(parse_graph_spec, "K2 P2 P3 P4 K3 C4 C5 C6 S3".split()))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -449,17 +451,15 @@ def _rho_base(g, h, compose):
     if hom_count(h, g) == 0:
         return RhoResult("infinite", provenance=("infinite-no-hom",))
 
-    glb = general_lower_bounds(g, h)
-
     # the first exact branch result wins, else the first result; the
     # others' tags follow the winner's, in branch order
-    results = [res for res in (branch(g, h, glb) for branch in _BRANCHES) if res is not None]
+    results = [res for res in (branch(g, h) for branch in _BRANCHES) if res is not None]
     if not results:
-        results = [RhoResult("unknown", lower=glb, upper=None, provenance=("construction-lower",))]
+        results = [RhoResult("unknown", provenance=("construction-lower",))]
     winner = results.pop(next((i for i, r in enumerate(results) if r.status == "exact"), 0))
 
     if winner.status in ("interval", "unknown"):
-        winner = _tighten(g, h, winner, glb, compose)
+        winner = _tighten(g, h, winner, compose)
         if winner.lower == winner.upper:
             # both ends are theorems, so a closed bracket is the value
             winner = RhoResult("exact", value=winner.lower, provenance=winner.provenance)
@@ -477,8 +477,9 @@ def _upper_of(res):
     return None
 
 
-def _tighten(g, h, res, glb, compose):
-    lower = max(res.lower, glb) if res.lower is not None else glb
+def _tighten(g, h, res, compose):
+    glb = general_lower_bounds(g, h)
+    lower = glb if res.lower is None else max(res.lower, glb)
     upper = res.upper
     tags = list(res.provenance)  # _rho_base drops repeats
 
@@ -490,8 +491,7 @@ def _tighten(g, h, res, glb, compose):
         tags.append("blowup-upper")
 
     if compose:
-        for spec in _INTERMEDIATE_SPECS:
-            mid = parse_graph_spec(spec)
+        for mid in _INTERMEDIATES:
             if _isomorphic(mid, g) or _isomorphic(mid, h):
                 continue
             u1 = _upper_of(_rho_base(g, mid, compose=False))

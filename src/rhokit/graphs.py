@@ -22,10 +22,12 @@ reproducible):
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,15 @@ import numpy as np
 from .errors import DomainError, GraphSpecError
 
 MASS_SUM_TOL = 1e-12
+
+
+def _integers(values, message):
+    """values as a list of Python ints; numpy integers pass, and anything
+    else (a float included) raises DomainError(message.format(values))."""
+    try:
+        return [operator.index(x) for x in values]
+    except TypeError:
+        raise DomainError(message.format(values)) from None
 
 
 @dataclass(frozen=True)
@@ -51,10 +62,7 @@ class Graph:
             raise DomainError("vertex_count must be nonnegative")
         canon = set()
         for e in self.edges:
-            try:  # numpy integers become Python ints; floats are rejected
-                u, v = map(operator.index, e)
-            except TypeError:
-                raise DomainError(f"edge {e} has a non-integer vertex label") from None
+            u, v = _integers(e, "edge {} has a non-integer vertex label")
             if u == v:
                 raise DomainError(f"loop ({u},{v}) not allowed in a simple graph")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
@@ -95,7 +103,22 @@ class Graph:
 
     def components(self):
         """Connected components, as sorted vertex lists."""
-        return _components(self.neighbor_sets())
+        nbrs = self.neighbor_sets()
+        seen = set()
+        comps = []
+        for v in range(self.vertex_count):
+            if v in seen:
+                continue
+            comp = {v}
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for w in nbrs[u] - comp:
+                    comp.add(w)
+                    stack.append(w)
+            seen |= comp
+            comps.append(sorted(comp))
+        return comps
 
     def induced(self, vertices):
         """The subgraph induced on a vertex list, relabelled in list order."""
@@ -107,30 +130,6 @@ class Graph:
     def relabel(self, perm):
         """Apply a vertex permutation (perm[v] = new label of v)."""
         return Graph.from_edges(self.vertex_count, ((perm[u], perm[v]) for u, v in self.edges))
-
-    def complement_components(self):
-        """Connected components of the complement graph, as sorted vertex lists."""
-        n = self.vertex_count
-        nbrs = self.neighbor_sets()
-        return _components([set(range(n)) - nbrs[v] - {v} for v in range(n)])
-
-
-def _components(nbrs):
-    seen = set()
-    comps = []
-    for v in range(len(nbrs)):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u] - comp:
-                comp.add(w)
-                stack.append(w)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def star(t):
 
 
 def multipartite(sizes):
-    sizes = [int(s) for s in sizes]
+    sizes = _integers(sizes, "part sizes {} must be integers")
     if any(s < 0 for s in sizes):
         raise DomainError("part sizes must be nonnegative")
     sizes = [s for s in sizes if s > 0]
@@ -181,7 +180,7 @@ def multipartite(sizes):
 def hub(sizes):
     """K'-graph: central clique of size n = len(sizes); for each i, sizes[i]
     pendant vertices adjacent to the clique minus its i-th vertex."""
-    sizes = [int(s) for s in sizes]
+    sizes = _integers(sizes, "pendant counts {} must be integers")
     n = len(sizes)
     if n < 1:
         raise DomainError("hub needs at least one clique vertex")
@@ -224,7 +223,7 @@ def paw():
 
 def blowup(g, b):
     """Replace vertex i of g by b[i] clones; clones adjacent iff originals were."""
-    b = [int(x) for x in b]
+    b = _integers(b, "blowup multiplicities {} must be integers")
     if len(b) != g.vertex_count:
         raise DomainError(f"blowup vector has length {len(b)}, expected {g.vertex_count}")
     if any(x < 1 for x in b):
@@ -245,7 +244,8 @@ def disjoint_union(g1, g2):
 
 
 # ---------------------------------------------------------------------------
-# structure recognition (used by the rho catalog)
+# structure recognition (used by the rho catalog): each test reads edge
+# counts, degrees or neighbour sets, never a complement graph
 
 
 def as_path(g):
@@ -275,23 +275,17 @@ def as_complete(g):
 
 
 def as_multipartite(g):
-    """Return the part sizes (nonincreasing) if g is complete multipartite, else None."""
-    comps = g.complement_components()
-    sizes = []
-    for comp in comps:
-        # each complement component must be a clique in the complement,
-        # i.e. an independent set of g with all cross edges present
-        for u, v in itertools.combinations(comp, 2):
-            if (min(u, v), max(u, v)) in g.edges:
-                return None
-        sizes.append(len(comp))
-    expected = 0
-    total = g.vertex_count
-    for s in sizes:
-        expected += s * (total - s)
-    if expected // 2 != g.edge_count:
+    """Return the part sizes (nonincreasing) if g is complete multipartite, else None.
+
+    g is complete multipartite exactly when each vertex is adjacent to every
+    vertex outside its class of equal neighbourhoods and to none inside it,
+    and its parts are those classes.  No vertex of a class N is in N (g has
+    no loops), so the rule holds when |N| plus the class size is |V|.
+    """
+    classes = Counter(map(frozenset, g.neighbor_sets()))
+    if any(len(nbrs) + size != g.vertex_count for nbrs, size in classes.items()):
         return None
-    return tuple(sorted(sizes, reverse=True))
+    return tuple(sorted(classes.values(), reverse=True))
 
 
 def as_star(g):
@@ -426,14 +420,15 @@ def _parse(s, full):
 
 
 def parse_count(text, what):
-    """A count written as an integer or as a float such as 1e6."""
+    """A count written as an integer or as a float such as 1e6, read exactly
+    (past 2**53 too); a count a float cannot hold is not a finite number."""
     try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
+        x = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        x = decimal.Decimal("nan")
+    if not (x.is_finite() and math.isfinite(float(x))):
         raise DomainError(f"{what} {text!r} is not a finite number")
-    if not x.is_integer():
+    if x != x.to_integral_value():
         raise DomainError(f"{what} {text!r} is not an integer")
     return int(x)
 

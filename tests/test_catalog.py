@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -31,6 +32,9 @@ from rhokit import (
 )
 from rhokit.catalog import RhoResult, _isomorphic, _rho_base
 from rhokit.graphs import Graph
+
+# the module, not a function of the package
+catalog_module = importlib.import_module("rhokit.catalog")
 
 
 class TestMajorization:
@@ -124,6 +128,10 @@ class TestRhoResult:
         j = RhoResult("exact", value=Fraction(8, 5)).to_json()
         assert j["value"] == 1.6
         assert j["value_exact"] == "8/5"
+
+    def test_interval_may_leave_an_end_unset(self):
+        r = RhoResult("interval", upper=Fraction(1))
+        assert r.lower is None and r.upper == 1
 
     def test_infinite_json_has_no_tokens(self):
         j = RhoResult("infinite").to_json()
@@ -240,6 +248,30 @@ class TestCatalog:
         assert res.status == "exact" and res.value == value
         assert {"construction-lower", "blowup-upper"} <= set(res.provenance)
 
+    def test_exact_pair_skips_the_universal_lower_bound(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            catalog_module, "general_lower_bounds", lambda g, h: calls.append((g, h))
+        )
+        _rho_base.cache_clear()
+        assert rho_exact("K3", "K2").status == "exact"
+        assert calls == []
+
+    def test_tightening_parses_nothing(self, monkeypatch):
+        calls = []
+
+        def parse(text):
+            calls.append(text)
+            return parse_graph_spec(text)
+
+        monkeypatch.setattr(catalog_module, "parse_graph_spec", parse)
+        monkeypatch.setattr("rhokit.graphs.parse_graph_spec", parse)
+        _rho_base.cache_clear()
+        res = _rho_base(parse_graph_spec("C3"), parse_graph_spec("C4"), compose=True)
+        # an interval, so _tighten ran its composition scan
+        assert (res.status, res.lower, res.upper) == ("interval", Fraction(3, 2), Fraction(8, 5))
+        assert calls == []
+
     def test_spent_blowup_budget_is_tagged(self):
         # the blowup search gives up on K6/P12; composition still closes it
         res = rho_exact("K6", "P12")
@@ -250,26 +282,39 @@ class TestCatalog:
 
 # The benchmark's catalog spec grid; tests/data/rho_grid.json holds
 # rho_exact(G, H).to_json() for every (G, H) over it, in grid order.
-# Regenerate with `PYTHONPATH=src python tests/test_catalog.py` after a
-# deliberate catalog change, and say which pairs moved.
+# tests/data/rho_grid_26.json does the same over 26 specs that add paths,
+# cycles, stars, tails, bipartite and tripartite graphs.  Regenerate both
+# with `PYTHONPATH=src python tests/test_catalog.py` after a deliberate
+# catalog change, and say which pairs moved.
 GRID_SPECS = ("K2", "P3", "P5", "C3", "C4", "K4", "paw", "K[2,3]", "Khub[1,1,1]", "3xK2")
 GRID_FILE = Path(__file__).parent / "data" / "rho_grid.json"
+GRID_26_SPECS = (
+    "K2", "P2", "P3", "P4", "P5", "C3", "C4", "C5", "C6", "K4", "paw", "K[2,3]", "K[2,2]",
+    "K[3,3]", "K[2,1]", "Khub[1,1,1]", "3xK2", "S3", "S4", "Gtail[1,2]", "Gtail[2,1]",
+    "K[2,2,1]", "K[3,1,1]", "2xK3", "C8", "P8",
+)  # fmt: skip
+GRID_26_FILE = Path(__file__).parent / "data" / "rho_grid_26.json"
+GRIDS = ((GRID_FILE, GRID_SPECS), (GRID_26_FILE, GRID_26_SPECS))
 
 
-def rho_grid():
-    return [
-        {"g": g, "h": h, "result": rho_exact(g, h).to_json()}
-        for g in GRID_SPECS
-        for h in GRID_SPECS
-    ]
+def rho_grid(specs=GRID_SPECS):
+    return [{"g": g, "h": h, "result": rho_exact(g, h).to_json()} for g in specs for h in specs]
 
 
-def test_rho_grid_matches_golden_file():
-    expected = json.loads(GRID_FILE.read_text())
-    got = rho_grid()
+def check_grid(path, specs):
+    expected = json.loads(path.read_text())
+    got = rho_grid(specs)
     assert [(e["g"], e["h"]) for e in expected] == [(e["g"], e["h"]) for e in got]
     for want, have in zip(expected, got):
         assert have["result"] == want["result"], (have["g"], have["h"])
+
+
+def test_rho_grid_matches_golden_file():
+    check_grid(GRID_FILE, GRID_SPECS)
+
+
+def test_rho_grid_26_matches_golden_file():
+    check_grid(GRID_26_FILE, GRID_26_SPECS)
 
 
 CUBIC_16_A = [
@@ -339,4 +384,5 @@ class TestIsomorphism:
 
 if __name__ == "__main__":
     GRID_FILE.parent.mkdir(exist_ok=True)
-    GRID_FILE.write_text("[\n" + ",\n".join(map(json.dumps, rho_grid())) + "\n]\n")
+    for path, specs in GRIDS:
+        path.write_text("[\n" + ",\n".join(map(json.dumps, rho_grid(specs))) + "\n]\n")

@@ -126,6 +126,13 @@ class TestCertify:
         ]
         assert entry["log_t_g"] < -700
 
+    def test_scale_past_2_53_is_echoed_exactly(self, capsys):
+        args = ("certify", "C5", "C3", "--family", "looped_star", "--scales", "12345678901234567891")
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0
+        (entry,) = json.loads(out)["schedule"]
+        assert entry["scale"] == 12345678901234567891
+
     def test_infinite_ratio_is_null(self, capsys):
         # bipartite W: t(C5, W) = 0, so log t(H, W) = -inf and the ratio is +inf
         code, out, _ = invoke(capsys, "certify", "K2", "C5", "--family", "kpartite_unbalanced",

@@ -1,9 +1,8 @@
 """Run the example scripts in demos/ and check that each exits cleanly.
 
 This guards the public calls the demos make (``domination_residual``,
-``run_all_suites``, ``certify_lower_bound`` and others).  ``05_search.py``
-takes several seconds of gradient search, so it is left out of this
-quick suite; run it by hand with ``PYTHONPATH=src python demos/05_search.py``.
+``run_all_suites``, ``certify_lower_bound``, ``search_lower_bound`` and
+others).  Each demo takes about a second.
 """
 
 import os
@@ -14,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = ("01_densities.py", "02_catalog.py", "03_constructions.py", "04_verify.py")
+DEMOS = ("01_densities.py", "02_catalog.py", "03_constructions.py", "04_verify.py", "05_search.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

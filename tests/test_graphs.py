@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from rhokit import (
     hub,
     multipartite,
     parse_graph_spec,
+    part_sizes,
     path,
     paw,
     star,
@@ -31,6 +33,7 @@ from rhokit.graphs import (
     as_path,
     as_star,
     is_paw,
+    parse_count,
 )
 
 
@@ -114,6 +117,22 @@ class TestSurgery:
         with pytest.raises(DomainError):
             blowup(path(1), [0, 1])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: multipartite([x, 1]),
+            lambda x: hub([x, 0]),
+            lambda x: blowup(path(1), [x, 2]),
+            lambda x: part_sizes([x, 1]),
+        ],
+        ids=["multipartite", "hub", "blowup", "part_sizes"],
+    )
+    def test_sizes_must_be_integers(self, build):
+        for size in (2.5, 2.0):
+            with pytest.raises(DomainError, match="must be integers"):
+                build(size)
+        assert build(np.int64(2)) == build(2)
+
     def test_disjoint_union(self):
         g = disjoint_union(cycle(3), cycle(4))
         assert g.vertex_count == 7
@@ -138,6 +157,16 @@ class TestRecognizers:
         assert as_multipartite(paw()) is None
         assert as_star(star(4)) == 4
         assert as_star(multipartite([2, 2])) is None
+
+    def test_multipartite_matches_definition_up_to_5_vertices(self):
+        graphs = 0
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for keep in itertools.product((False, True), repeat=len(pairs)):
+                g = Graph.from_edges(n, itertools.compress(pairs, keep))
+                assert as_multipartite(g) == multipartite_by_definition(g)
+                graphs += 1
+        assert graphs == 1100
 
     def test_recognizers_ignore_labeling(self):
         g = cycle(5).relabel([3, 0, 4, 1, 2])
@@ -242,6 +271,80 @@ class TestWeightedGraph:
 def test_multipartite_recognizer_round_trips(parts):
     g = multipartite(parts)
     assert as_multipartite(g) == tuple(sorted(parts, reverse=True))
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for parts in set_partitions(rest):
+        yield [[first], *parts]
+        for i in range(len(parts)):
+            yield [*parts[:i], [first, *parts[i]], *parts[i + 1 :]]
+
+
+def multipartite_by_definition(g):
+    """The part sizes of the vertex partition whose complete multipartite
+    graph is g, found by trying every partition; None if there is none."""
+    for parts in set_partitions(list(range(g.vertex_count))):
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        pairs = itertools.combinations(range(g.vertex_count), 2)
+        if g.edges == {(u, v) for u, v in pairs if part_of[u] != part_of[v]}:
+            return tuple(sorted(map(len, parts), reverse=True))
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4).filter(
+        lambda parts: sum(parts) >= 2
+    ),
+    st.data(),
+)
+def test_multipartite_recognizer_relabelled_and_one_edge_off(parts, data):
+    g = multipartite(parts)
+    perm = data.draw(st.permutations(range(g.vertex_count)))
+    assert as_multipartite(g.relabel(perm)) == tuple(sorted(parts, reverse=True))
+    part_of = [i for i, size in enumerate(parts) for _ in range(size)]
+    pairs = list(itertools.combinations(range(g.vertex_count), 2))
+    u, v = data.draw(st.sampled_from(pairs))
+    near = Graph.from_edges(g.vertex_count, g.edges ^ {(u, v)}).relabel(perm)
+    rest = [size for i, size in enumerate(parts) if i not in (part_of[u], part_of[v])]
+    if part_of[u] != part_of[v]:
+        # dropping an edge between parts leaves u and v non-adjacent, which
+        # is still complete multipartite only when both parts were {u} and {v}
+        merged = parts[part_of[u]] == parts[part_of[v]] == 1
+        expected = tuple(sorted(rest + [2], reverse=True)) if merged else None
+    else:
+        # an edge inside a part splits it only if the part was {u, v}
+        split = parts[part_of[u]] == 2
+        expected = tuple(sorted(rest + [1, 1], reverse=True)) if split else None
+    assert as_multipartite(near) == expected
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [("10", 10), ("1e6", 10**6), ("12345678901234567891", 12345678901234567891), ("1e23", 10**23)],
+)
+def test_parse_count_is_exact(text, count):
+    assert parse_count(text, "scale") == count
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.5", "is not an integer"),
+        ("1e-3", "is not an integer"),
+        ("abc", "is not a finite number"),
+        ("nan", "is not a finite number"),
+        ("inf", "is not a finite number"),
+        ("1e400", "is not a finite number"),
+    ],
+)
+def test_parse_count_rejects(text, message):
+    with pytest.raises(DomainError, match=f"scale '{text}' {message}"):
+        parse_count(text, "scale")
 
 
 @settings(max_examples=50, deadline=None)

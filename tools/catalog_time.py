@@ -1,0 +1,96 @@
+"""Time catalog dispatch (catalog.rho_exact) from a cold cache.
+
+    PYTHONPATH=src python tools/catalog_time.py
+
+Point PYTHONPATH at another checkout's src to time that checkout.  Two grids
+of (G, H) pairs are run: the 100 pairs of perfbench's catalog workload (10
+specs) and the 676 pairs of the 26 specs of tests/data/rho_grid_26.json.
+Each grid is run 5 times, each time after clearing the catalog's results
+(_rho_base) and every plan-level cache (density._plan and _replay).  Printed
+as JSON: per grid, the best time in milliseconds and the number of calls
+one more cold run makes to each of CALLS (_rho_base counts the runs of its
+body, that is its cache misses; a name a checkout does not have reads null).
+"""
+
+import importlib
+import json
+import time
+
+# the modules, not the functions rhokit.density and rhokit.catalog
+catalog_module = importlib.import_module("rhokit.catalog")
+density_module = importlib.import_module("rhokit.density")
+graphs_module = importlib.import_module("rhokit.graphs")
+
+GRID_10 = ("K2", "P3", "P5", "C3", "C4", "K4", "paw", "K[2,3]", "Khub[1,1,1]", "3xK2")
+GRID_26 = (
+    "K2", "P2", "P3", "P4", "P5", "C3", "C4", "C5", "C6", "K4", "paw", "K[2,3]", "K[2,2]",
+    "K[3,3]", "K[2,1]", "Khub[1,1,1]", "3xK2", "S3", "S4", "Gtail[1,2]", "Gtail[2,1]",
+    "K[2,2,1]", "K[3,1,1]", "2xK3", "C8", "P8",
+)  # fmt: skip
+
+# (module, name): functions counted wherever a rhokit module holds them
+CALLS = [
+    (graphs_module, "parse_graph_spec"),
+    (graphs_module, "as_multipartite"),
+    (catalog_module, "general_lower_bounds"),
+    (density_module, "independence_number"),
+    (density_module, "hom_count"),
+]
+
+CACHES = [catalog_module._rho_base] + [
+    getattr(density_module, name) for name in ("_plan", "_replay") if hasattr(density_module, name)
+]
+
+
+def cold_pass(specs):
+    for cache in CACHES:
+        cache.cache_clear()
+    for g in specs:
+        for h in specs:
+            catalog_module.rho_exact(g, h)
+
+
+def best_ms(specs, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        cold_pass(specs)
+        best = min(best, time.perf_counter() - start)
+    return best * 1000
+
+
+def call_counts(specs):
+    """Calls of each of CALLS, and _rho_base's misses, in one cold pass."""
+    modules = [catalog_module, density_module, graphs_module]
+    counts = {"_rho_base": None}
+    originals = []
+    for owner, name in CALLS:
+        fn = getattr(owner, name, None)
+        counts[name] = None if fn is None else 0
+        if fn is None:
+            continue
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if vars(module).get(name) is fn:
+                originals.append((module, name, fn))
+                setattr(module, name, counted)
+    try:
+        cold_pass(specs)
+        counts["_rho_base"] = catalog_module._rho_base.cache_info().misses
+    finally:
+        for module, name, fn in originals:
+            setattr(module, name, fn)
+    return counts
+
+
+if __name__ == "__main__":
+    assert len(GRID_10) == 10 and len(GRID_26) == 26
+    report = {}
+    for name, specs in (("grid_10", GRID_10), ("grid_26", GRID_26)):
+        report[f"{name}_ms"] = best_ms(specs)
+        report[f"{name}_calls"] = call_counts(specs)
+    print(json.dumps(report))
