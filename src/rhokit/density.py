@@ -20,6 +20,9 @@ pairs by tensordot, and there the two agree to rounding.
 Object operands stay object through every step, 0-d results included, so
 counts past int64 stay exact.  search.density_gradient differentiates the
 same run: _evaluate records each step's operands, and _sweep walks them back.
+Both also run over a stack of graphons, operands with leading batch axes
+that every step's equations carry in an ellipsis; each graphon of the stack
+gets the bits of its own run, and a single graphon has no batch axes.
 Where greedy gives up and would join the remaining operands over 2**15 or
 more index combinations in one step (K4 on 14+ blocks), the program slices
 one vertex instead (as in tensor-network slicing): its one step loops over
@@ -86,14 +89,14 @@ class _Pair(NamedTuple):
     then one np.matmul or np.multiply, reshaped and transposed to the output."""
 
     positions: tuple
-    eq: str  # the step as one plain einsum, "a,b->out", for _sweep
+    eq: str  # the step as one plain einsum, "...a,...b->...out", for _sweep
     eq_a: str | None
     shape_a: tuple | None
     eq_b: str | None
     shape_b: tuple | None
     join: np.ufunc  # np.matmul, or np.multiply when no summed index is shared
     shape: tuple | None
-    perm: tuple | None
+    perm: tuple | None  # on negative axes, so leading batch axes stay in place
 
 
 class _Sliced(NamedTuple):
@@ -231,7 +234,8 @@ def _replay(g, k):
         if len(joined) == 2:
             steps.append(_pair(positions, *joined, result, k))
         else:
-            steps.append(_Einsum(positions, ",".join(joined) + "->" + result))
+            # the ellipsis carries any leading batch axes of the operands
+            steps.append(_Einsum(positions, "..." + ",...".join(joined) + "->..." + result))
     return _Replay(tuple(steps), intermediate, join)
 
 
@@ -290,7 +294,7 @@ def _pair(positions, a, b, out, k):
     numpy's bmm_einsum leaves out axes of length 1, so for k = 1 no index
     is summed between the sides and the join is a broadcast multiply.
     """
-    eq = f"{a},{b}->{out}"
+    eq = f"...{a},...{b}->...{out}"
     summed = [ix for ix in a if ix in b and ix not in out] if k > 1 else []
     if not summed:
 
@@ -318,12 +322,12 @@ def _pair(positions, a, b, out, k):
         _fused(groups_b),
         np.matmul,
         None if _fused(groups_out) is None else (1,) * len(produced),
-        tuple(produced.index(ix) for ix in out) if produced != out else None,
+        tuple(produced.index(ix) - len(out) for ix in out) if produced != out else None,
     )
 
 
 def _reorder(term, desired):
-    return None if term == desired else f"{term}->{desired}"
+    return None if term == desired else f"...{term}->...{desired}"
 
 
 def _fused(groups):
@@ -347,7 +351,16 @@ def _evaluate(plan, factors, weights, tape=None):
     """Run plan's steps on its operand list; each step pops its operands and
     appends its result, and the last result is the contraction.  Given a list
     as tape, for _sweep, each step appends (step, operands popped) to it, and
-    a _Sliced step (step, factors, per block (mass, each part's (value, tape)))."""
+    a _Sliced step (step, factors, per block (mass, each part's (value, tape))).
+
+    Factors of shape lead + (k,) and weights of shape lead + (k, k) run one
+    contraction per index of the leading batch axes, lead = () for a single
+    graphon: the equations carry the batch axes in their ellipsis, each
+    reshape keeps them in front, and a permutation, written on negative axes,
+    leaves them in place.  np.matmul and the einsum kernels loop over the
+    batch, so every contraction has the bits of its own run with lead = ().
+    """
+    lead = weights.shape[:-2]
     ops = [*factors, *[weights] * plan.edge_count]
     for step in plan.steps:
         kind = type(step)
@@ -360,16 +373,16 @@ def _evaluate(plan, factors, weights, tape=None):
             if eq_a is not None:
                 a = _keep(np.einsum(eq_a, a))
             if shape_a is not None:
-                a = a.reshape(shape_a)
+                a = a.reshape(lead + shape_a)
             if eq_b is not None:
                 b = _keep(np.einsum(eq_b, b))
             if shape_b is not None:
-                b = b.reshape(shape_b)
+                b = b.reshape(lead + shape_b)
             r = join(a, b)
             if shape is not None:
-                r = r.reshape(shape)
+                r = r.reshape(lead + shape)
             if perm is not None:
-                r = r.transpose(perm)
+                r = r.transpose(tuple(range(len(lead))) + perm)
         elif kind is _Einsum:
             inputs = [ops.pop(i) for i in step.positions]
             if tape is not None:
@@ -380,11 +393,12 @@ def _evaluate(plan, factors, weights, tape=None):
             if tape is not None:
                 blocks = []
                 tape.append((step, factors, blocks))
-            for b, mass in enumerate(ops[step.vertex]):
+            for b in range(weights.shape[-1]):
+                mass = ops[step.vertex][..., b]
                 sliced = list(ops)
                 # weights is symmetric, so row b serves edges (vertex, u) and (u, vertex)
                 for u in step.neighbours:
-                    sliced[u] = ops[u] * weights[b]
+                    sliced[u] = ops[u] * weights[..., b, :]
                 if tape is not None:
                     parts = []
                     blocks.append((mass, parts))
@@ -414,6 +428,8 @@ def _sweep(tape, n, weights):
     recorded values and one sweep of each part's tape.  A neighbour's factor
     there is factors[u] * weights[b], so its adjoint also feeds row b of the
     weight adjoint (weights is symmetric, as in _evaluate).
+    Leading batch axes run through as in _evaluate: the first adjoint is one
+    per contraction, and a per-contraction coefficient broadcasts over blocks.
     """
     total = np.zeros_like(weights)
     if type(tape[0][0]) is _Sliced:
@@ -421,19 +437,19 @@ def _sweep(tape, n, weights):
         adjoints = [np.zeros_like(f) for f in factors]
         for b, (mass, parts) in enumerate(blocks):
             values = [value for value, _ in parts]
-            adjoints[step.vertex][b] += math.prod(values)
+            adjoints[step.vertex][..., b] += math.prod(values)
             for p, ((vertices, _), (_, part_tape)) in enumerate(zip(step.parts, parts)):
-                c = mass * math.prod(values[:p] + values[p + 1 :])
+                c = (mass * math.prod(values[:p] + values[p + 1 :]))[..., None]
                 part_adjoints, part_total = _sweep(part_tape, len(vertices), weights)
-                total += c * part_total
+                total += c[..., None] * part_total
                 for u, adjoint in zip(vertices, part_adjoints):
                     if u in step.neighbours:
-                        total[b] += c * adjoint * factors[u]
-                        adjoint = adjoint * weights[b]
+                        total[..., b, :] += c * adjoint * factors[u]
+                        adjoint = adjoint * weights[..., b, :]
                     adjoints[u] += c * adjoint
         return adjoints, total
-    ones = np.ones(weights.shape[0])
-    adjoints = [1.0]
+    ones = np.ones(weights.shape[-1])
+    adjoints = [np.ones(weights.shape[:-2])]
     for step, inputs in reversed(tape):
         bar = adjoints.pop()
         for m in reversed(range(len(inputs))):  # the positions, ascending
@@ -447,7 +463,8 @@ def _sweep(tape, n, weights):
 def _adjoint_eqs(eq):
     """Per input m of the einsum eq: the einsum that gives m's adjoint from
     the result's adjoint, the other inputs and one ones vector per index only
-    m holds, and the number of those ones vectors."""
+    m holds, and the number of those ones vectors.  The ellipsis of eq's terms
+    stays on each, and no ones vector has one."""
     joined, out = eq.split("->")
     terms = joined.split(",")
     eqs = []
@@ -518,12 +535,17 @@ def density(g, w):
 
 
 def _in_range(t):
-    """Contraction t as a density: float noise past [0, 1] clamped, beyond it raises."""
-    t = float(t)
-    if not -_CLAMP_TOL <= t <= 1.0 + _CLAMP_TOL:
+    """Contraction t as a density: float noise past [0, 1] clamped, beyond it
+    raises.  An array of contractions is checked and clamped entrywise."""
+    if type(t) is np.ndarray:
+        inside = ((-_CLAMP_TOL <= t) & (t <= 1.0 + _CLAMP_TOL)).all()  # NaN is not
+    else:
+        t = float(t)
+        inside = -_CLAMP_TOL <= t <= 1.0 + _CLAMP_TOL
+    if not inside:
         raise DiscrepancyError(f"t(g, W) = {t!r} lies outside [0, 1]")
     # all terms are nonnegative; clamp float noise at the boundary
-    return min(max(t, 0.0), 1.0)
+    return min(max(t, 0.0), 1.0) if type(t) is float else t.clip(0.0, 1.0)
 
 
 def log_density(g, w):

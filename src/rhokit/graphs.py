@@ -452,6 +452,23 @@ def load_edge_list(path_):
 # step graphons
 
 
+def _check_blocks(masses, weights):
+    """Raise DomainError unless masses (shape lead + (k,)) and weights (lead +
+    (k, k)) are the blocks of step graphons, one per index of the leading
+    axes: masses positive and summing to 1, weights in [0,1] and exactly
+    symmetric."""
+    # written so that NaN fails each test; an infinite mass fails the sum
+    if not (masses > 0).all():
+        raise DomainError("masses must be strictly positive numbers")
+    sums = masses.sum(axis=-1)
+    if (abs(sums - 1.0) > MASS_SUM_TOL).any():
+        raise DomainError(f"masses must sum to 1 (got {sums!r})")
+    if not ((weights >= 0) & (weights <= 1)).all():
+        raise DomainError("weights must be numbers in [0,1]")
+    if not (weights == np.swapaxes(weights, -1, -2)).all():
+        raise DomainError("weights must be exactly symmetric")
+
+
 class WeightedGraph:
     """A step graphon: block masses (positive, summing to 1) and a symmetric
     block weight matrix with entries in [0,1].  Diagonal entries are loop
@@ -467,15 +484,7 @@ class WeightedGraph:
         k = masses.size
         if weights.shape != (k, k):
             raise DomainError(f"weights must be {k}x{k}, got {weights.shape}")
-        # written so that NaN fails each test; an infinite mass fails the sum
-        if not np.all(masses > 0):
-            raise DomainError("masses must be strictly positive numbers")
-        if abs(masses.sum() - 1.0) > MASS_SUM_TOL:
-            raise DomainError(f"masses must sum to 1 (got {masses.sum()!r})")
-        if not np.all((weights >= 0) & (weights <= 1)):
-            raise DomainError("weights must be numbers in [0,1]")
-        if not np.array_equal(weights, weights.T):
-            raise DomainError("weights must be exactly symmetric")
+        _check_blocks(masses, weights)
         masses.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "masses", masses)

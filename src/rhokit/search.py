@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _evaluate, _in_range, _program, _sweep, density, json_number
+from .density import _evaluate, _in_range, _program, _sweep, json_number
 from .errors import DiscrepancyError, DomainError
-from .graphs import WeightedGraph, as_graph
+from .graphs import WeightedGraph, _check_blocks, as_graph
 from .verify import PROFILES, sample_weighted_graph
 
 
@@ -31,52 +31,80 @@ def density_gradient(g, w):
     one reverse sweep over the tape of g's own contraction program
     (density._sweep), whose cost does not grow with the number of coordinates.
     """
-    return _swept(g, w)[1:]
+    return _swept(g, w.masses, w.weights)[1:]
 
 
-def _swept(g, w):
-    """(t(g, w), d/d masses, d/d weights) from one run of g's program, t
-    bit-identical to density(g, w), and one reverse sweep of the run's tape."""
-    k = w.block_count
+def _densities(g, masses, weights, tape=None):
+    """t(g, W) for each graphon W of a stack, masses of shape lead + (k,) and
+    weights lead + (k, k), from one batched run of g's program; each value
+    bit-identical to density(g, W)."""
+    plan = _program(g, weights.shape[-1])
+    return _in_range(_evaluate(plan, [masses] * g.vertex_count, weights, tape))
+
+
+def _swept(g, masses, weights):
+    """(t(g, W), d/d masses, d/d weights) for each graphon W of a stack, as
+    _densities takes it, from one batched run of g's program and one reverse
+    sweep of the run's tape."""
     if g.vertex_count == 0:
-        return 1.0, np.zeros(k), np.zeros((k, k))
+        return np.ones(weights.shape[:-2]), np.zeros_like(masses), np.zeros_like(weights)
     tape = []
-    t = _evaluate(_program(g, k), [w.masses] * g.vertex_count, w.weights, tape)
-    factors, total = _sweep(tape, g.vertex_count, w.weights)
-    return _in_range(t), sum(factors), total + total.T - np.diag(np.diag(total))
+    t = _densities(g, masses, weights, tape)
+    factors, total = _sweep(tape, g.vertex_count, weights)
+    # the diagonal counted once; total is finite and nonnegative, so its
+    # product with the identity is its diagonal matrix, +0.0 off it
+    diagonal = total * np.eye(weights.shape[-1])
+    return t, sum(factors), total + np.swapaxes(total, -1, -2) - diagonal
+
+
+def _logs(t):
+    """math.log of each entry, as an array: np.log may differ in the last bit."""
+    return np.array([math.log(x) for x in t.tolist()])
 
 
 def ratio_objective(g, h, w):
     """(ratio, d ratio/d masses, d ratio/d weights) for
     ratio = log t(H,W)/log t(G,W); requires 0 < t(G,W) < 1."""
-    tg, gm, gw = _swept(g, w)
-    if not 0.0 < tg < 1.0:
+    ratios, dm, dw = _objective(g, h, w.masses[None], w.weights[None])
+    return ratios[0], dm[0], dw[0]
+
+
+def _objective(g, h, masses, weights):
+    """ratio_objective for each graphon of a stack (masses (B, k), weights
+    (B, k, k)): (list of ratios, d/d masses, d/d weights), from one batched
+    run and sweep of each pattern."""
+    tg, gm, gw = _swept(g, masses, weights)
+    if not np.all((0.0 < tg) & (tg < 1.0)):
         raise DomainError("ratio objective needs 0 < t(G,W) < 1")
-    th, hm, hw = _swept(h, w)
-    if th <= 0.0:
+    th, hm, hw = _swept(h, masses, weights)
+    if not np.all(th > 0.0):
         raise DomainError("ratio objective needs t(H,W) > 0")
-    lg, lh = math.log(tg), math.log(th)
-    # d(log t)/dx = (dt/dx)/t; quotient rule on lh/lg
-    dm = (hm / th * lg - lh * gm / tg) / lg**2
-    dw = (hw / th * lg - lh * gw / tg) / lg**2
-    return lh / lg, dm, dw
+    lg, lh = _logs(tg), _logs(th)
+    lg2 = np.array([x**2 for x in lg.tolist()])  # C pow, as Python squares a float
+
+    def quotient(dh, dg):
+        # d(log t)/dx = (dt/dx)/t; quotient rule on lh/lg, the batch axis last
+        return ((dh.T / th * lg - lh * dg.T / tg) / lg2).T
+
+    return (lh / lg).tolist(), quotient(hm, gm), quotient(hw, gw)
 
 
 def _project_simplex(v, floor):
-    """Euclidean projection onto {x : x >= floor, sum x = 1}."""
-    k = v.size
+    """Euclidean projection of each vector along v's last axis onto
+    {x : x >= floor, sum x = 1}."""
+    k = v.shape[-1]
     if k * floor >= 1.0:
         raise DomainError("mass floor too large for the block count")
     u = v - floor
     budget = 1.0 - k * floor
     # sort-based projection of u onto the scaled simplex
-    s = np.sort(u)[::-1]
-    css = np.cumsum(s) - budget
+    s = np.sort(u.reshape(-1, k))[:, ::-1]
+    css = s.cumsum(axis=1) - budget
     idx = np.arange(1, k + 1)
     cond = s - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(u - theta, 0.0) + floor
+    rho = k - cond[:, ::-1].argmax(axis=1)  # the last index cond holds at, plus one
+    theta = css[np.arange(len(css)), rho - 1] / rho
+    return np.maximum(u - theta.reshape(u.shape[:-1] + (1,)), 0.0) + floor
 
 
 @dataclass(frozen=True)
@@ -130,41 +158,92 @@ def _structured_starts(k):
 
 def _feasible_ratio(g, h, w, margin):
     """log t(H,W) / log t(G,W), the float ratio_objective returns, or None
-    when W is infeasible; t(H,W) is skipped when t(G,W) is out of range."""
-    tg = density(g, w)
-    if not 0.0 < tg <= 1.0 - margin:
-        return None
-    th = density(h, w)
-    if th <= 0.0:
-        return None
-    return math.log(th) / math.log(tg)
+    when W is infeasible."""
+    return _ratios(g, h, w.masses[None], w.weights[None], margin)[0]
 
 
-def _ascend(g, h, w, cfg):
-    """Projected gradient ascent from one starting point; returns the best
-    (ratio, WeightedGraph) seen.  Each accepted step raises the ratio, so
-    the best point seen is the current one."""
-    cur = w
-    ratio = None
+def _ratios(g, h, masses, weights, margin):
+    """_feasible_ratio of each graphon of a stack (masses (B, k), weights
+    (B, k, k)), a list; one batched run of G's program, and one of H's over
+    the graphons with t(G,W) in range."""
+    tg = _densities(g, masses, weights)
+    feasible = (0.0 < tg) & (tg <= 1.0 - margin)
+    th = np.zeros_like(tg)
+    if feasible.any():
+        th[feasible] = _densities(h, masses[feasible], weights[feasible])
+    feasible &= th > 0.0
+    return [
+        math.log(b) / math.log(a) if ok else None
+        for a, b, ok in zip(tg.tolist(), th.tolist(), feasible.tolist())
+    ]
+
+
+def _line_search(g, h, masses, weights, dm, dw, steps, ratios, cfg):
+    """Per ascent (masses[s], weights[s], its gradient and ratio), the first
+    of its candidate steps steps[:, s] whose projected point is feasible and
+    raises the ratio by more than 1e-14: (ratio, masses, weights), or None.
+    Every candidate of every ascent is tried in one batched call."""
+    nm = _project_simplex(masses + steps[..., None] * dm, cfg.mass_floor)
+    nw = (weights + steps[..., None, None] * dw).clip(0.0, 1.0)
+    nw = (nw + np.swapaxes(nw, -1, -2)) / 2
+    _check_blocks(nm, nw)
+    count, k = steps.size, masses.shape[-1]
+    tried = _ratios(g, h, nm.reshape(count, k), nw.reshape(count, k, k), cfg.margin)
+    found = []
+    for s, ratio in enumerate(ratios):
+        column = tried[s :: len(ratios)]
+        j = next((j for j, r in enumerate(column) if r is not None and r > ratio + 1e-14), None)
+        found.append(None if j is None else (column[j], nm[j, s], nw[j, s]))
+    return found
+
+
+def _ascend(g, h, masses, weights, cfg):
+    """Projected gradient ascent from each start of a stack (masses (B, k),
+    weights (B, k, k)), all in lockstep; returns each start's best ratio
+    seen, a list, and the stacked graphons that reach them.  Each accepted
+    step raises the ratio, so the best point seen is the current one.
+
+    Per iteration one batched run and sweep of g and of h gives the ratio
+    and gradient of every ascent still going.  Each ascent then takes the
+    first of 25 step sizes, halving from cfg.step0 over the gradient's
+    largest entry, that is feasible and raises its ratio; halving 0 is tried
+    for every ascent at once, and halvings 1-24 at once for the ascents it
+    did not serve.  An ascent no step size serves stops there.  So each
+    ascent takes the path, and stops where, it would on its own.
+    """
+    masses, weights = masses.copy(), weights.copy()
+    if cfg.iterations == 0:
+        return _objective(g, h, masses, weights)[0], masses, weights
+    best = [None] * len(masses)
+    going = np.arange(len(masses))
     for _ in range(cfg.iterations):
-        ratio, dm, dw = ratio_objective(g, h, cur)
-        scale = max(np.abs(dm).max(), np.abs(dw).max(), 1e-12)
-        step = cfg.step0 / scale
-        for _ in range(25):
-            nm = _project_simplex(cur.masses + step * dm, cfg.mass_floor)
-            nw = np.clip(cur.weights + step * dw, 0.0, 1.0)
-            nw = (nw + nw.T) / 2
-            cand = WeightedGraph(nm, nw)
-            new_ratio = _feasible_ratio(g, h, cand, cfg.margin)
-            if new_ratio is not None and new_ratio > ratio + 1e-14:
+        m, w = masses[going], weights[going]
+        ratios, dm, dw = _objective(g, h, m, w)
+        scale = np.maximum(np.abs(dm).max(axis=-1), np.abs(dw).max(axis=(-2, -1)))
+        first = cfg.step0 / np.maximum(scale, 1e-12)
+        # halved by products with 0.5, as one ascent halves its step
+        steps = np.cumprod(np.vstack([first, np.full((24, len(going)), 0.5)]), axis=0)
+        found = [None] * len(going)
+        for tries in (steps[:1], steps[1:]):  # halving 0, then halvings 1-24
+            rest = [s for s, f in enumerate(found) if f is None]
+            if not rest:
                 break
-            step /= 2
-        else:  # no step size improved the ratio
+            later = _line_search(
+                g, h, m[rest], w[rest], dm[rest], dw[rest], tries[:, rest],
+                [ratios[s] for s in rest], cfg,
+            )  # fmt: skip
+            for s, f in zip(rest, later):
+                found[s] = f
+        moved = []
+        for i, ratio, f in zip(going, ratios, found):
+            best[i] = ratio
+            if f is not None:
+                best[i], masses[i], weights[i] = f
+                moved.append(i)
+        if not moved:
             break
-        cur, ratio = cand, new_ratio
-    if ratio is None:  # zero iterations
-        ratio = ratio_objective(g, h, cur)[0]
-    return ratio, cur
+        going = np.array(moved)
+    return best, masses, weights
 
 
 def search_lower_bound(g_spec, h_spec, config=None):
@@ -201,24 +280,32 @@ def search_lower_bound(g_spec, h_spec, config=None):
     res = rho_exact(g, h)
     upper = math.inf if res.upper is None else float(res.upper)
 
-    feasible_starts = []
+    starts = []
     for k in cfg.block_counts:
-        starts = _structured_starts(k)
+        starts += _structured_starts(k)
         for r in range(cfg.restarts):
             profile = PROFILES[r % len(PROFILES)]
             starts.append(sample_weighted_graph(profile, k, cfg.seed + 1000 * k + r))
-        feasible_starts.extend(
-            w0 for w0 in starts if _feasible_ratio(g, h, w0, cfg.margin) is not None
-        )
+    # a near_construction draw has 1 or 2 blocks whatever k is, so the starts
+    # ascend grouped by their own block count
+    groups = {}
+    for i, w0 in enumerate(starts):
+        groups.setdefault(w0.block_count, []).append(i)
+    ends = {}  # start index -> (ratio, masses, weights) of its ascent
+    for members in groups.values():
+        masses = np.stack([starts[i].masses for i in members])
+        weights = np.stack([starts[i].weights for i in members])
+        feasible = [r is not None for r in _ratios(g, h, masses, weights, cfg.margin)]
+        members = [i for i, ok in zip(members, feasible) if ok]
+        if members:
+            ends.update(zip(members, zip(*_ascend(g, h, masses[feasible], weights[feasible], cfg))))
 
     best_ratio = -math.inf
-    best_w = None
-    tried = len(feasible_starts)
-    for w0 in feasible_starts:
-        ratio, w_best = _ascend(g, h, w0, cfg)
-        if ratio > best_ratio:
-            best_ratio, best_w = ratio, w_best
-    if best_w is None:
+    best = None
+    for i in sorted(ends):  # the first start reaching the best ratio wins ties
+        if ends[i][0] > best_ratio:
+            best_ratio, best = ends[i][0], ends[i]
+    if best is None:
         raise DomainError("no feasible starting graphon found")
 
     if best_ratio > upper + 1e-6:
@@ -230,8 +317,8 @@ def search_lower_bound(g_spec, h_spec, config=None):
         g_spec=str(g_spec),
         h_spec=str(h_spec),
         best_ratio=best_ratio,
-        best_graphon=best_w,
+        best_graphon=WeightedGraph(*best[1:]),
         catalog_upper=upper,
-        restarts=tried,
+        restarts=len(ends),
         config=cfg,
     )

@@ -58,7 +58,9 @@ def sample_weighted_graph(profile, size, seed):
 
     size and seed must be integers.  Trial t of every suite draws the same
     graphon, so draws are memoized; a WeightedGraph is immutable, and every
-    caller shares the one returned.
+    caller shares the one returned.  The near_construction profile ignores
+    size: it jitters one of four constructions at scale 1 (constant_p,
+    half_block, two_clique, looped_star), so its graphon has 1 or 2 blocks.
     """
     try:  # numpy integers become Python ints; floats are rejected
         size, seed = operator.index(size), operator.index(seed)

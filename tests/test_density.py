@@ -335,19 +335,19 @@ class TestPlanCache:
     def test_swept_value_is_the_density(self, spec):
         g = parse_graph_spec(spec)
         for w in graphons(5, seed=64, sizes=(1, 2, 3, 5, 8)):
-            assert search_module._swept(g, w)[0] == density(g, w)
+            assert search_module._swept(g, w.masses, w.weights)[0] == density(g, w)
             with slice_at(1):  # every give-up join sliced, slices nested
-                assert search_module._swept(g, w)[0] == density(g, w)
+                assert search_module._swept(g, w.masses, w.weights)[0] == density(g, w)
 
     def test_swept_value_is_the_density_when_sliced(self):
         g, w = complete(4), random_graphon(33, seed=33)
         assert sliced(_plan(g, 33))
-        assert search_module._swept(g, w)[0] == density(g, w)
+        assert search_module._swept(g, w.masses, w.weights)[0] == density(g, w)
         w = random_graphon(3, seed=3)
         with slice_at(1):
             for g in (complete(5), parse_graph_spec("2xK4")):  # nested, and one per component
                 assert sliced(_plan(g, 3))
-                assert search_module._swept(g, w)[0] == density(g, w)
+                assert search_module._swept(g, w.masses, w.weights)[0] == density(g, w)
 
     def test_hom_count_bit_identical_to_greedy(self):
         for spec in PLAN_PATTERNS:
@@ -616,6 +616,56 @@ def test_sliced_gradient_matches_greedy(nv, keep, k, weight_exp, tiny_exp, seed)
 def random_pattern(nv, keep):
     pairs = itertools.combinations(range(nv), 2)
     return Graph.from_edges(nv, [e for e, kept in zip(pairs, keep) if kept])
+
+
+def run_and_sweep(g, masses, weights):
+    """(value, factor adjoints, weight adjoint) of one run of g's program
+    over masses and weights, with any leading batch axes, and its sweep."""
+    tape = []
+    plan = _plan(g, weights.shape[-1])
+    value = density_module._evaluate(plan, [masses] * g.vertex_count, weights, tape)
+    factors, total = density_module._sweep(tape, g.vertex_count, weights)
+    return np.asarray(value), factors, total
+
+
+def assert_batch_bits(g, k, count, seed):
+    """A run over a stack of count graphons has, for each, the bits of its
+    own run: the value, every factor adjoint and the weight adjoint."""
+    rng = np.random.default_rng(seed)
+    masses = rng.random((count, k)) + 0.1
+    masses /= masses.sum(axis=1, keepdims=True)
+    a = rng.random((count, k, k))
+    weights = (a + a.swapaxes(1, 2)) / 2
+    value, factors, total = run_and_sweep(g, masses, weights)
+    assert value.shape == (count,) and total.shape == (count, k, k)
+    for b in range(count):
+        one_value, one_factors, one_total = run_and_sweep(g, masses[b], weights[b])
+        assert value[b].tobytes() == one_value.tobytes()
+        assert len(factors) == len(one_factors)
+        for batched, one in zip(factors, one_factors):
+            assert batched[b].tobytes() == one.tobytes()
+        assert total[b].tobytes() == one_total.tobytes()
+
+
+class TestBatch:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.lists(st.booleans(), min_size=21, max_size=21),
+        st.integers(min_value=0, max_value=1000),
+    )
+    def test_random_patterns_bit_identical(self, nv, keep, seed):
+        g = random_pattern(nv, keep)
+        for k in (1, 2, 3, 8):
+            for count in (1, 5, 25):
+                assert_batch_bits(g, k, count, seed)
+
+    @pytest.mark.parametrize("spec,k", [("K4", 14), ("K5", 8)])
+    def test_sliced_programs_bit_identical(self, spec, k):
+        g = parse_graph_spec(spec)
+        assert sliced(_plan(g, k))
+        for count in (1, 5, 25):
+            assert_batch_bits(g, k, count, seed=k + count)
 
 
 # block counts from 2 on, where every pattern's greedy path is its path on 2

@@ -1,11 +1,14 @@
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rhokit import (
     DomainError,
+    PROFILES,
     SearchConfig,
     WeightedGraph,
     density,
@@ -211,6 +214,18 @@ class TestSearch:
         plain = SearchConfig(block_counts=(2,), restarts=1, iterations=5)
         assert res.to_json() == search_lower_bound("K3", "K2", plain).to_json()
 
+    def test_mixed_block_starts(self):
+        # the near_construction start has 2 blocks and the others 8, so the
+        # two groups ascend apart, and the best of all starts wins
+        cfg = SearchConfig(block_counts=(8,), restarts=6, iterations=20)
+        profiles = [PROFILES[r % len(PROFILES)] for r in range(6)]
+        starts = [sample_weighted_graph(p, 8, 8000 + r) for r, p in enumerate(profiles)]
+        assert {w.block_count for w in starts} == {2, 8}
+        res = search_lower_bound("C3", "C4", cfg)
+        g, h = parse_graph_spec("C3"), parse_graph_spec("C4")
+        assert _feasible_ratio(g, h, res.best_graphon, cfg.margin) == res.best_ratio
+        assert res.best_ratio <= res.catalog_upper + 1e-6
+
     def test_json_and_dump(self):
         cfg = SearchConfig(block_counts=(2,), restarts=1, iterations=30, seed=2)
         res = search_lower_bound("K3", "K2", cfg)
@@ -220,3 +235,42 @@ class TestSearch:
         res.best_graphon.dump(buf)
         buf.seek(0)
         assert WeightedGraph.load(buf) == res.best_graphon
+
+
+# tests/data/search_golden.json holds search_lower_bound(G, H, cfg).to_json()
+# for every pair and config below, written by the ascent of one start at a
+# time.  Regenerate it with `PYTHONPATH=src python tests/test_search.py` after
+# a deliberate change to the search, and say which results moved.
+GOLDEN_FILE = Path(__file__).parent / "data" / "search_golden.json"
+GOLDEN_PAIRS = (("C3", "C4"), ("P5", "P3"), ("K3", "K2"), ("P3", "P2"), ("C5", "C3"))
+GOLDEN_CONFIGS = {
+    "benchmark": SearchConfig(block_counts=(2,), restarts=1, iterations=6, seed=1),
+    "multi_block": SearchConfig(block_counts=(1, 3, 5), restarts=6, iterations=5, seed=3),
+    "iterations_0": SearchConfig(block_counts=(2, 3), restarts=2, iterations=0, seed=1),
+    "restarts_0": SearchConfig(block_counts=(2, 4), restarts=0, iterations=20, seed=1),
+}
+
+
+def golden_searches():
+    return {
+        name: [search_lower_bound(g, h, cfg).to_json() for g, h in GOLDEN_PAIRS]
+        for name, cfg in GOLDEN_CONFIGS.items()
+    }
+
+
+def test_search_matches_golden_file():
+    # ratios and graphons to 1e-12 relative, as BLAS may round differently
+    # on another machine; everything else exactly
+    expected = json.loads(GOLDEN_FILE.read_text())
+    got = golden_searches()
+    assert list(got) == list(expected)
+    for name in expected:
+        for want, have in zip(expected[name], got[name], strict=True):
+            where = (name, want["g"], want["h"])
+            for key in ("best_ratio", "masses", "weights"):
+                np.testing.assert_allclose(have.pop(key), want.pop(key), rtol=1e-12, err_msg=str(where))
+            assert have == want, where
+
+
+if __name__ == "__main__":
+    GOLDEN_FILE.write_text(json.dumps(golden_searches(), indent=1) + "\n")

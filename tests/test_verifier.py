@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -35,6 +36,12 @@ class TestSampling:
                 if profile != "near_construction":  # that one keeps its base's blocks
                     assert w.block_count == size
                 assert abs(float(w.masses.sum()) - 1) < 1e-12
+
+    def test_near_construction_ignores_size(self):
+        # one of four constructions at scale 1: 1 block (constant_p) or 2
+        sizes_and_seeds = itertools.product(range(1, 9), range(40))
+        draws = [sample_weighted_graph("near_construction", n, s) for n, s in sizes_and_seeds]
+        assert {w.block_count for w in draws} == {1, 2}
 
     def test_sparse_is_sparse(self):
         w = sample_weighted_graph("sparse", 4, 5)

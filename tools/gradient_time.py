@@ -14,9 +14,13 @@ of timings are printed as one JSON object:
   P5/P3, K3/K2, P3/P2 and C5/C3, once with the default SearchConfig and
   once with block_counts=(8,).
 - evaluate_runs: the number of contraction program runs (density._evaluate)
-  over those same five searches.  Each density and each ratio_objective
-  pattern runs its program once, the gradient reading the run's tape.  The
-  count costs one Python call per run inside the timed searches.
+  over those same five searches.  A run may cover a stack of graphons: the
+  ascent runs each pattern once per iteration over every ascent still going,
+  the gradients reading the run's tape, and its line search once over each
+  batch of candidate steps.
+- graphons_evaluated: the sum of those runs' batch sizes, the graphons
+  whose densities they computed.
+The counts cost one Python call per run inside the timed searches.
 """
 
 import importlib
@@ -57,15 +61,16 @@ def gradient_ms(g, w, repeats=3, target_s=0.05):
 
 
 def search_run(cfg):
-    """(CPU seconds, _evaluate runs) of the five searches."""
+    """(CPU seconds, _evaluate runs, graphons evaluated) of the five searches."""
     modules = [importlib.import_module(f"rhokit.{name}") for name in ("density", "search")]
     evaluate = modules[0]._evaluate
-    runs = 0
+    runs = graphons = 0
 
-    def counted(*args):
-        nonlocal runs
+    def counted(plan, factors, weights, *args):
+        nonlocal runs, graphons
         runs += 1
-        return evaluate(*args)
+        graphons += weights[..., 0, 0].size  # the batch size, 1 for one graphon
+        return evaluate(plan, factors, weights, *args)
 
     for module in modules:
         module._evaluate = counted
@@ -73,7 +78,7 @@ def search_run(cfg):
         start = time.process_time()
         for g, h in SEARCH_PAIRS:
             search_lower_bound(g, h, cfg)
-        return time.process_time() - start, runs
+        return time.process_time() - start, runs, graphons
     finally:
         for module in modules:
             module._evaluate = evaluate
@@ -88,6 +93,7 @@ if __name__ == "__main__":
     searches = {name: search_run(cfg) for name, cfg in SEARCH_CONFIGS.items()}
     print(json.dumps({
         "gradient_ms": gradients,
-        "search_cpu_s": {name: seconds for name, (seconds, _) in searches.items()},
-        "evaluate_runs": {name: runs for name, (_, runs) in searches.items()},
+        "search_cpu_s": {name: seconds for name, (seconds, _, _) in searches.items()},
+        "evaluate_runs": {name: runs for name, (_, runs, _) in searches.items()},
+        "graphons_evaluated": {name: count for name, (_, _, count) in searches.items()},
     }))  # fmt: skip
