@@ -14,8 +14,9 @@ k.  A step joining two operands runs the way numpy's bmm_einsum runs it:
 a one-operand einsum and a reshape on each side where needed, np.matmul
 or np.multiply, then a reshape and transpose.  Any other step is one
 plain np.einsum.  A call runs these steps and plans nothing.  On numpy
-2.4, whose optimized einsum joins pairs by this batched-matmul scheme, it
-gets the same bits as np.einsum(optimize="greedy"); older releases join
+2.4, whose optimized einsum joins pairs by this batched-matmul scheme, a
+program on greedy's path gets the same bits as np.einsum(optimize="greedy")
+(below, where greedy gives up, the path may leave it); older releases join
 pairs by tensordot, and there the two agree to rounding.
 Object operands stay object through every step, 0-d results included, so
 counts past int64 stay exact.  search.density_gradient differentiates the
@@ -23,16 +24,24 @@ same run: _evaluate records each step's operands, and _sweep walks them back.
 Both also run over a stack of graphons, operands with leading batch axes
 that every step's equations carry in an ellipsis; each graphon of the stack
 gets the bits of its own run, and a single graphon has no batch axes.
-Where greedy gives up and would join the remaining operands over 2**15 or
-more index combinations in one step (K4 on 14+ blocks), the program slices
-one vertex instead (as in tensor-network slicing): its one step loops over
-that vertex's blocks and runs the rest of the pattern per block, one
-program per connected component.  From 2**15 on, slicing is faster on
-every give-up join tools/slice_threshold.py times; below, it loses on some
-(K4 on 2-11 blocks) and wins on others.  A configurable cap rejects a
-program whose size -- its largest intermediate or largest step joining
-three or more operands, times the block count for each sliced vertex --
-exceeds the cap.
+Where greedy gives up, it joins every operand left in one step.  Below
+2**15 index combinations that join stays, so every program below 2**15 is
+numpy's greedy one, bit for bit.  From 2**15 on (K4 on 14+ blocks), greedy
+is replayed at the block count itself and goes on past its give-up point
+without its size limit (opt_einsum's default; Smith & Gray 2018).  If that
+path's largest intermediate and any give-up join it has stay under 2**15
+entries, the program runs it: K4 on 24 blocks takes 0.14 ms, against
+0.7 ms sliced and 4 ms in one join (tools/slice_threshold.py on 2 CPUs,
+numpy 2.4).  Otherwise the
+program slices one vertex instead (as in tensor-network slicing, Gray &
+Kourtis 2021), to bound memory: its one step loops over that vertex's
+blocks and runs the rest of the pattern per block, one program per
+connected component, each chosen by the same rule.  Past the give-up
+point every pair left joins into three or more indices, so from 32 blocks
+on (32**3 = 2**15) the unlimited path cannot fit, is not replayed, and
+the program slices.  A configurable cap rejects a program whose size -- its
+largest intermediate or largest step joining three or more operands, times
+the block count for each sliced vertex -- exceeds the cap.
 log_density picks one of two routes from the input: when every positive
 term of the density is a normal float64 it takes the log of the float
 contraction; otherwise (constructions drive densities toward 0) it scales
@@ -56,7 +65,8 @@ from .errors import DiscrepancyError, DomainError, EnumerationCapError
 from .graphs import Graph, parse_count, path
 
 DEFAULT_ENUM_CAP = 10**8
-# a give-up join this large is sliced; smaller ones keep numpy's greedy path
+# a give-up join this large leaves numpy's greedy path for the unlimited one,
+# or for slicing where that path's intermediates reach this many entries too
 _SLICE_AT = 2**15
 # below log 2**-1000 a term may be subnormal, and log_density counts exactly
 _NORMAL_LOG = -1000 * math.log(2)
@@ -109,7 +119,7 @@ class _Sliced(NamedTuple):
     parts: tuple  # (vertices, plan of g.induced(vertices)) covering the rest
 
 
-def _greedy_path(masks, k):
+def _greedy_path(masks, k, unlimited=False):
     """numpy's greedy path for contracting operands to a scalar, where
     masks[i] has one bit per index of operand i and every axis has length k.
 
@@ -125,6 +135,10 @@ def _greedy_path(masks, k):
     join only pairs with the new operand are scanned: every other
     candidate keeps its key and result, stale as they may be, as in numpy,
     and its pair's positions shift down past the two operands removed.
+    With unlimited, where greedy would give up the path goes on from the
+    operands left with no size limit, opt_einsum's default: the pairs are
+    scanned again, and only the naive-cost test can still end the path in
+    a join of every operand left.
     """
     n = len(masks)
     if n <= 2:
@@ -154,15 +168,20 @@ def _greedy_path(masks, k):
                 gain = size[a.bit_count()] + size[b.bit_count()] - kept
                 known.append(((-gain, flops), i, j, result))
 
-        for i, j in pairs:
-            if ops[i] & ops[j]:
-                consider(i, j)
-        if not known:
-            for i, j in itertools.combinations(range(len(ops)), 2):
-                consider(i, j)
+        while True:
+            for i, j in pairs:
+                if ops[i] & ops[j]:
+                    consider(i, j)
             if not known:
-                path.append(tuple(range(len(ops))))
+                for i, j in itertools.combinations(range(len(ops)), 2):
+                    consider(i, j)
+            if known or not unlimited or limit == math.inf:
                 break
+            limit = math.inf  # greedy gives up here; go on without its size limit
+            pairs = itertools.combinations(range(len(ops)), 2)
+        if not known:
+            path.append(tuple(range(len(ops))))
+            break
         (_, flops), x, y, result = min(known, key=operator.itemgetter(0))
         known = [
             (key, i - (i > x) - (i > y), j - (j > x) - (j > y), r)
@@ -187,11 +206,13 @@ class _Replay(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1024)
-def _replay(g, k):
+def _replay(g, k, unlimited=False):
     """Replay of g's greedy path on k blocks, as _plan describes it.
 
     _greedy_path uses k only to compare sizes k**e, and compares them
-    alike on every k >= 2, so _plan replays at min(k, 2):
+    alike on every k >= 2, so _plan replays at min(k, 2).  The proof below
+    covers greedy's own path; the unlimited one compares sizes past the
+    largest operand's, so _plan replays that at k itself:
     - Invariant.  Index v starts in 1 + deg(v) operands; a join lowers a
       count of 3 or more by one at most, and a count of 2 or 1 only to 0.
       So only an isolated vertex's vector holds an index no other holds.
@@ -223,7 +244,7 @@ def _replay(g, k):
 
     steps = []
     intermediate, join = 0, None
-    for step in _greedy_path(masks, k):
+    for step in _greedy_path(masks, k, unlimited):
         positions = tuple(sorted(step, reverse=True))
         joined = [terms.pop(i) for i in positions]
         result = "".join(sorted(set("".join(joined)) & set("".join(terms))))
@@ -253,20 +274,35 @@ def _plan(g, k):
     numpy's bmm_einsum would derive on each call; other steps are one plain
     einsum.  The replay runs at min(k, 2), as the path is the same on
     every k >= 2, and keeps every size as an exponent of k; here k fills
-    in the shapes, the size and the slicing decision.
-    When greedy finds no pair under its size limit it joins every operand
-    left in one step, whose index space the largest intermediate misses.
-    If that join has at least _SLICE_AT = 2**15 index combinations, the
-    program slices the vertex of highest degree instead: one contraction
-    of the rest of the pattern per block, planned the same way, one part
-    per connected component -- greedy gives up on each component that is
-    too dense, and one join of them all would nest a slice per part.
+    in the shapes and the size.
+    When greedy finds no pair under its size limit it gives up: it joins
+    every operand left in one step, whose index space the largest
+    intermediate misses.  Below _SLICE_AT = 2**15 index combinations that
+    join stays, so the program is numpy's.  From 2**15 on, g is replayed
+    at k once more with greedy going on past its give-up point without the
+    size limit, and if that program's largest intermediate and any join it
+    gives up in are under 2**15 entries, it is the program.  Past the
+    give-up point every pair left joins into three or more indices, so
+    from k = 32 on (k**3 >= 2**15) it cannot fit, and that replay is not
+    run.  Otherwise the program slices the vertex of highest degree: one
+    contraction of the rest of the pattern per block, planned by the same
+    rule, one part per connected component -- greedy gives up on each
+    component that is too dense, and one join of them all would nest a
+    slice per part.
     """
     replay = _replay(g, min(k, 2))
-    join = 0 if replay.join is None else k**replay.join
-    if join < _SLICE_AT:
-        steps = tuple(_sized(step, k) for step in replay.steps)
-        return _Plan(steps, g.edge_count, max(k**replay.intermediate, join))
+    if replay.join is None or k**replay.join < _SLICE_AT:
+        return _program_of(replay, g, k)
+    if k**3 < _SLICE_AT:
+        program = _program_of(_replay(g, k, unlimited=True), g, k)
+        if program.size < _SLICE_AT:
+            return program
+    return _slice(g, k)
+
+
+def _slice(g, k):
+    """The program of g on k blocks that slices its vertex of highest
+    degree, each part planned by _plan."""
     degrees = g.degrees()
     v = max(range(g.vertex_count), key=lambda u: (degrees[u], -u))
     rest = [u for u in range(g.vertex_count) if u != v]
@@ -274,6 +310,13 @@ def _plan(g, k):
     parts = tuple((tuple(vs), _plan(g.induced(vs), k)) for vs in groups)
     sliced = _Sliced(v, tuple(sorted(g.neighbors(v))), parts)
     return _Plan((sliced,), 0, k * max(p.size for _, p in parts))
+
+
+def _program_of(replay, g, k):
+    """The program of g on k blocks that runs replay's steps."""
+    steps = tuple(_sized(step, k) for step in replay.steps)
+    join = 0 if replay.join is None else k**replay.join
+    return _Plan(steps, g.edge_count, max(k**replay.intermediate, join))
 
 
 def _sized(step, k):

@@ -479,18 +479,101 @@ def slice_at(threshold):
             _plan.cache_clear()
 
 
-class TestSlicing:
-    @pytest.mark.parametrize("spec,k", [("K4", 33), ("K5", 17), ("K[4,4]", 5)])
-    def test_sliced_density_matches_oracle(self, spec, k):
+# cases whose greedy path gives up in a join of 2**15 or more index
+# combinations, where the unlimited path stays under 2**15 entries
+UNLIMITED_CASES = [("K4", 14), ("K5", 8), ("K[3,4]", 5), ("K[4,4]", 5)]
+
+
+def takes_unlimited_path(g, k):
+    """Whether g's program on k blocks runs the unlimited path, unsliced,
+    in place of a give-up join of 2**15 or more index combinations."""
+    plan = _plan(g, k)
+    unlimited = density_module._program_of(_replay(g, k, unlimited=True), g, k)
+    return k ** _replay(g, min(k, 2)).join >= 2**15 and plan == unlimited
+
+
+class TestUnlimited:
+    @pytest.mark.parametrize("spec,k", UNLIMITED_CASES)
+    def test_density_matches_oracle(self, spec, k):
         g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
-        assert sliced(_plan(g, k))  # the give-up join is >= 2**15
+        assert takes_unlimited_path(g, k)
+        assert _plan(g, k).size < 2**15
+        assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
+        gm, gw = density_gradient(g, w)
+        ref_m, ref_w = greedy_gradient(g, w)
+        np.testing.assert_allclose(gm, ref_m, rtol=1e-12)
+        np.testing.assert_allclose(gw, ref_w, rtol=1e-12)
+
+    @pytest.mark.parametrize("spec", ["K[4,4]", "K[2,2,2,2]"])
+    def test_hom_count_object_route(self, spec):
+        # object operands, as hom_count takes past int64, on 4-vertex targets
+        g = parse_graph_spec(spec)
+        assert takes_unlimited_path(g, 4)
+        for t in (complete(4), cycle(4)):
+            ones = np.ones(4, dtype=object)
+            got = _contract(g, [ones] * g.vertex_count, t.adjacency().astype(object))
+            assert type(got) is int
+            assert got == hom_count(g, t) == hom_count_oracle(g, t)
+
+    @pytest.mark.parametrize("spec", ["K4", "K5", "K[2,2,2]", "K[4,4]"])
+    def test_path_goes_on_from_the_give_up_point(self, spec):
+        g = parse_graph_spec(spec)
+        masks = operand_masks(g)
+        for k in (2, 5, 32):
+            limited = _greedy_path(masks, k)
+            assert len(limited[-1]) > 2  # greedy gives up
+            assert _greedy_path(masks, k, unlimited=True)[: len(limited) - 1] == limited[:-1]
+
+    @pytest.mark.parametrize("spec", ["K4", "K5", "K[2,2,2]", "K[4,4]"])
+    def test_unlimited_path_reaches_2_15_from_32_blocks(self, spec):
+        # past the give-up point every join holds 3 or more indices, 32**3 = 2**15
+        g = parse_graph_spec(spec)
+        assert 32 ** _replay(g, 32, unlimited=True).intermediate >= 2**15
+
+    def test_no_unlimited_replay_from_32_blocks(self):
+        g = complete(4)
+        _plan.cache_clear()
+        _replay.cache_clear()
+        for k in range(32, 81):
+            assert sliced(_plan(g, k))
+            assert _plan(g, k) == density_module._slice(g, k)
+        # K4's replay on 2 blocks and that of the K3 slicing leaves, no more
+        assert _replay.cache_info().misses == 2
+
+    def test_parts_planned_by_the_same_rule(self):
+        # K5 on 14 blocks slices; the K4 left runs the unlimited path
+        step = sliced(_plan(complete(5), 14))
+        ((_, part),) = step.parts
+        assert part == _plan(complete(4), 14)
+        assert takes_unlimited_path(complete(4), 14)
+
+    def test_cap_sees_the_unlimited_program(self, monkeypatch):
+        g, w = parse_graph_spec("K[4,4]"), random_graphon(5, seed=5)
+        assert takes_unlimited_path(g, 5)
+        assert _plan(g, 5).size == 5**4
+        monkeypatch.setenv("RHOKIT_ENUM_CAP", str(5**4 - 1))
+        with pytest.raises(EnumerationCapError, match=f"takes {5**4} index combinations"):
+            density(g, w)
+        monkeypatch.setenv("RHOKIT_ENUM_CAP", str(5**4))
         assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
 
-    @pytest.mark.parametrize("spec,k", [("K4", 14), ("K5", 8), ("K[3,4]", 5)])
+
+class TestSlicing:
+    # the give-up join is >= 2**15, and so is the unlimited path's largest
+    # intermediate (K7 less an edge on 6 blocks: 6**6)
+    @pytest.mark.parametrize("spec,k", [("K4", 33), ("K5", 17), ("K[2,1,1,1,1,1]", 6)])
+    def test_sliced_density_matches_oracle(self, spec, k):
+        g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
+        assert sliced(_plan(g, k))
+        assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
+
+    @pytest.mark.parametrize("spec,k", [("K5", 14), ("K5", 15), ("K[2,1,1,1,1,1]", 6)])
     def test_mid_size_join_sliced(self, spec, k):
-        # give-up joins of 2**15 up to 2**20 index combinations are sliced too
+        # give-up joins of 2**15 up to 2**20 index combinations are sliced
+        # too, where the unlimited path reaches 2**15 entries as well
         g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
         assert 2**15 <= k ** _replay(g, min(k, 2)).join < 2**20
+        assert k ** _replay(g, k, unlimited=True).intermediate >= 2**15
         assert sliced(_plan(g, k))
         assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
         gm, gw = density_gradient(g, w)
@@ -660,10 +743,17 @@ class TestBatch:
             for count in (1, 5, 25):
                 assert_batch_bits(g, k, count, seed)
 
-    @pytest.mark.parametrize("spec,k", [("K4", 14), ("K5", 8)])
+    @pytest.mark.parametrize("spec,k", [("K4", 33), ("K5", 14)])
     def test_sliced_programs_bit_identical(self, spec, k):
         g = parse_graph_spec(spec)
         assert sliced(_plan(g, k))
+        for count in (1, 5, 25):
+            assert_batch_bits(g, k, count, seed=k + count)
+
+    @pytest.mark.parametrize("spec,k", UNLIMITED_CASES)
+    def test_unlimited_programs_bit_identical(self, spec, k):
+        g = parse_graph_spec(spec)
+        assert takes_unlimited_path(g, k)
         for count in (1, 5, 25):
             assert_batch_bits(g, k, count, seed=k + count)
 
@@ -682,7 +772,11 @@ def labelled_graphs(nv):
 def replayed_at(g, k):
     """g's program on k blocks, filled in from an uncached replay at k itself."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(density_module, "_replay", lambda g, _: _replay.__wrapped__(g, k))
+        mp.setattr(
+            density_module,
+            "_replay",
+            lambda g, _, unlimited=False: _replay.__wrapped__(g, k, unlimited),
+        )
         _plan.cache_clear()
         try:
             return _plan(g, k)
@@ -779,10 +873,11 @@ class TestThreshold:
         _plan.cache_clear()
         _replay.cache_clear()
         assert not sliced(_plan(g, 7))  # 7**5 < 2**15
-        assert sliced(_plan(g, 12))
-        # K5's replay on 2 blocks serves both; the other is the K4 left by
-        # slicing, unsliced on 12 blocks (12**4 < 2**15)
-        assert _replay.cache_info().misses == 2
+        assert sliced(_plan(g, 32))
+        # K5's replay on 2 blocks serves both; the others are the K4 left by
+        # slicing, sliced too on 32 blocks, and the K3 left by that.  On 32
+        # blocks no unlimited replay runs (32**3 = 2**15)
+        assert _replay.cache_info().misses == 3
 
     @pytest.mark.parametrize("spec", ["P3", "C4", "S4", "paw", "K[2,3]"])
     def test_no_give_up_join_never_slices(self, spec):

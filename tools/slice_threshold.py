@@ -1,28 +1,29 @@
-"""Time give-up joins unsliced and sliced, to place density._SLICE_AT.
+"""Time the three programs _plan chooses among where greedy gives up.
 
     PYTHONPATH=src python tools/slice_threshold.py
 
-Point PYTHONPATH at another checkout's src to time that checkout.  When
-greedy finds no pair to join, the program joins every operand left in one
-np.einsum; from _SLICE_AT index combinations on, _plan slices a vertex
-instead.  The cases are K4, K[2,2,2], K[3,4] and K[4,4] on 2-24 blocks
-wherever their program ends in such a join of fewer than 2**20
-combinations (from there on every threshold tried slices it).  One
-density call on a random graphon is timed per case under several values
-of _SLICE_AT, each after clearing the plan caches (_plan and _replay); a
-time is the best of 3 means over enough calls to take about 20 ms, after
-one warm-up call.  One JSON object is printed, times in milliseconds:
+Point PYTHONPATH at another checkout's src to time that checkout (it needs
+_replay's unlimited argument and density._slice).  When greedy finds no
+pair under its size limit, its path ends in one step joining every operand
+left.  From _SLICE_AT index combinations on, _plan takes greedy's path on
+past that point without the size limit, and slices a vertex where that
+path's largest intermediate or give-up join reaches _SLICE_AT entries too.
+The cases are K4, K[2,2,2], K[3,4] and K[4,4] on 2-24 blocks wherever
+greedy's path ends in such a join of fewer than 2**20 combinations.  Per
+case three programs are timed on one random graphon: the naive join
+(greedy's own path), the unlimited path and the sliced program (its parts
+planned by _plan).  A time is the best of 3 means over enough runs of the
+program (density._evaluate) to take about 20 ms, after one warm-up run.
+One JSON object is printed, times in milliseconds:
 
-- cases: per case, its give-up join's index combinations, unsliced_ms
-  (_SLICE_AT = 2**20, above every join here) and sliced_ms (_SLICE_AT at
-  the join, which slices that join only: each part's join is smaller).
-- totals_ms: per candidate _SLICE_AT from 2**12 to 2**20, the sum over the
-  cases of the time with _SLICE_AT at that value, where a part's join may
-  be sliced too.
+- cases: per case, its give-up join's index combinations, naive_ms,
+  unlimited_ms and sliced_ms, the unlimited path's size (its largest
+  intermediate or give-up join) and which of the three _plan picked.
+- totals_ms: per program, the sum over the cases, and for "picked" the
+  sum of the programs _plan picked.
 - slice_at: the checkout's _SLICE_AT.
 """
 
-import contextlib
 import importlib
 import json
 import time
@@ -35,7 +36,7 @@ from rhokit import WeightedGraph, parse_graph_spec
 density_module = importlib.import_module("rhokit.density")
 
 PATTERNS = ("K4", "K[2,2,2]", "K[3,4]", "K[4,4]")
-CANDIDATES = range(12, 21)  # exponents of 2
+PROGRAMS = ("naive", "unlimited", "sliced")
 
 
 def random_graphon(k, seed):
@@ -45,71 +46,54 @@ def random_graphon(k, seed):
     return WeightedGraph(masses / masses.sum(), (a + a.T) / 2)
 
 
-def give_up_join(g, k):
-    """Index combinations of the give-up join ending g's program, or None."""
-    join = density_module._replay(g, k).join
-    return None if join is None else k**join
+def programs(g, k):
+    """g's programs on k blocks: greedy's own, the unlimited path, sliced."""
+    naive = density_module._replay(g, min(k, 2))
+    unlimited = density_module._replay(g, k, unlimited=True)
+    return {
+        "naive": density_module._program_of(naive, g, k),
+        "unlimited": density_module._program_of(unlimited, g, k),
+        "sliced": density_module._slice(g, k),
+    }
 
 
-@contextlib.contextmanager
-def slicing_at(value):
-    """Plan with _SLICE_AT = value; plans made under it are dropped."""
-    saved = density_module._SLICE_AT
-    density_module._SLICE_AT = value
-    density_module._plan.cache_clear()
-    density_module._replay.cache_clear()
-    try:
-        yield
-    finally:
-        density_module._SLICE_AT = saved
-        density_module._plan.cache_clear()
-        density_module._replay.cache_clear()
-
-
-def density_ms(g, w, slice_at, repeats=3, target_s=0.02):
-    """Best mean time of density(g, w) when _SLICE_AT is slice_at."""
-    with slicing_at(slice_at):
+def run_ms(plan, g, w, repeats=3, target_s=0.02):
+    """Best mean time of one run of plan on w."""
+    factors = [w.masses] * g.vertex_count
+    start = time.perf_counter()
+    density_module._evaluate(plan, factors, w.weights)
+    number = max(1, round(target_s / (time.perf_counter() - start)))
+    best = float("inf")
+    for _ in range(repeats):
         start = time.perf_counter()
-        density_module.density(g, w)  # builds the program
-        number = max(1, round(target_s / (time.perf_counter() - start)))
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(number):
-                density_module.density(g, w)
-            best = min(best, (time.perf_counter() - start) / number)
+        for _ in range(number):
+            density_module._evaluate(plan, factors, w.weights)
+        best = min(best, (time.perf_counter() - start) / number)
     return best * 1000
 
 
-def program(g, k, slice_at):
-    with slicing_at(slice_at):
-        return density_module._plan(g, k)
-
-
 if __name__ == "__main__":
-    cases, totals = [], dict.fromkeys(CANDIDATES, 0.0)
+    cases, totals = [], dict.fromkeys((*PROGRAMS, "picked"), 0.0)
     for spec in PATTERNS:
         g = parse_graph_spec(spec)
         for k in range(2, 25):
-            join = give_up_join(g, k)
-            if join is None or join >= 2**20:
+            join = density_module._replay(g, min(k, 2)).join
+            if join is None or k**join >= 2**20:
                 continue
             w = random_graphon(k, seed=k)
-            timed = {}  # ms per distinct program: thresholds between two joins build one
-            for e in CANDIDATES:
-                plan = program(g, k, 2**e)
-                if plan not in timed:
-                    timed[plan] = density_ms(g, w, 2**e)
-                totals[e] += timed[plan]
-            cases.append({
-                "pattern": spec,
-                "blocks": k,
-                "combinations": join,
-                "unsliced_ms": timed[plan],  # at 2**20, above every join here
-                "sliced_ms": density_ms(g, w, join),
-            })  # fmt: skip
+            plans = programs(g, k)
+            picked = density_module._plan(g, k)
+            name = next(name for name, plan in plans.items() if plan == picked)
+            case = {"pattern": spec, "blocks": k, "combinations": k**join}
+            for program, plan in plans.items():
+                case[f"{program}_ms"] = run_ms(plan, g, w)
+                totals[program] += case[f"{program}_ms"]
+            totals["picked"] += case[f"{name}_ms"]
+            case["unlimited_size"] = plans["unlimited"].size
+            case["picked"] = name
+            cases.append(case)
     print(json.dumps({
         "cases": cases,
-        "totals_ms": {f"2**{e}": ms for e, ms in totals.items()},
+        "totals_ms": totals,
         "slice_at": density_module._SLICE_AT,
     }))  # fmt: skip
