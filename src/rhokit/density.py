@@ -26,22 +26,23 @@ that every step's equations carry in an ellipsis; each graphon of the stack
 gets the bits of its own run, and a single graphon has no batch axes.
 Where greedy gives up, it joins every operand left in one step.  Below
 2**15 index combinations that join stays, so every program below 2**15 is
-numpy's greedy one, bit for bit.  From 2**15 on (K4 on 14+ blocks), greedy
-is replayed at the block count itself and goes on past its give-up point
-without its size limit (opt_einsum's default; Smith & Gray 2018).  If that
-path's largest intermediate and any give-up join it has stay under 2**15
-entries, the program runs it: K4 on 24 blocks takes 0.14 ms, against
-0.7 ms sliced and 4 ms in one join (tools/slice_threshold.py on 2 CPUs,
-numpy 2.4).  Otherwise the
-program slices one vertex instead (as in tensor-network slicing, Gray &
-Kourtis 2021), to bound memory: its one step loops over that vertex's
-blocks and runs the rest of the pattern per block, one program per
-connected component, each chosen by the same rule.  Past the give-up
-point every pair left joins into three or more indices, so from 32 blocks
-on (32**3 = 2**15) the unlimited path cannot fit, is not replayed, and
-the program slices.  A configurable cap rejects a program whose size -- its
-largest intermediate or largest step joining three or more operands, times
-the block count for each sliced vertex -- exceeds the cap.
+numpy's greedy one, bit for bit.  From 2**15 on (K4 on 14+ blocks), the
+program runs the cached replay up to that join, and from the operands the
+join takes goes on at the block count itself, by greedy without its size
+limit (opt_einsum's default; Smith & Gray 2018).  If that path's largest
+intermediate and any give-up join it has stay under 2**15 entries, the
+program runs it: K4 on 24 blocks takes 0.14 ms, against 0.7 ms sliced and
+4 ms in one join (tools/slice_threshold.py on 2 CPUs, numpy 2.4).
+Otherwise the program slices one vertex instead (as in tensor-network
+slicing, Gray & Kourtis 2021), to bound memory: its one step loops over
+that vertex's blocks and runs the rest of the pattern per block, one
+program per connected component, each chosen by the same rule.  Past the
+give-up point every pair left joins into three or more indices, so from
+32 blocks on (32**3 = 2**15) the unlimited path cannot fit, greedy does
+not go on, and the program slices.  A configurable cap rejects a program
+whose size -- its largest intermediate or largest step joining three or
+more operands, times the block count for each sliced vertex -- exceeds
+the cap.
 log_density picks one of two routes from the input: when every positive
 term of the density is a normal float64 it takes the log of the float
 contraction; otherwise (constructions drive densities toward 0) it scales
@@ -65,8 +66,9 @@ from .errors import DiscrepancyError, DomainError, EnumerationCapError
 from .graphs import Graph, parse_count, path
 
 DEFAULT_ENUM_CAP = 10**8
-# a give-up join this large leaves numpy's greedy path for the unlimited one,
-# or for slicing where that path's intermediates reach this many entries too
+# a give-up join this large leaves numpy's greedy path for greedy without its
+# size limit past that join, or for slicing where that path's intermediates
+# reach this many entries too
 _SLICE_AT = 2**15
 # below log 2**-1000 a term may be subnormal, and log_density counts exactly
 _NORMAL_LOG = -1000 * math.log(2)
@@ -119,7 +121,7 @@ class _Sliced(NamedTuple):
     parts: tuple  # (vertices, plan of g.induced(vertices)) covering the rest
 
 
-def _greedy_path(masks, k, unlimited=False):
+def _greedy_path(masks, k, limit=None):
     """numpy's greedy path for contracting operands to a scalar, where
     masks[i] has one bit per index of operand i and every axis has length k.
 
@@ -127,24 +129,23 @@ def _greedy_path(masks, k, unlimited=False):
     numpy takes from opt_einsum (Smith & Gray 2018), run on bitmasks.  Each
     step joins the pair with the least key (-removed size, flop cost), the
     first such pair in numpy's candidate order on ties.  A join whose
-    result has more elements than the largest operand, or that takes the
-    path's cost past the naive one-step cost, is no candidate.  Pairs that
-    share an index are scanned first; only when none qualifies are all
-    pairs, outer products included, scanned again, and when still none
-    does, the step joins every operand left and the path ends.  After a
-    join only pairs with the new operand are scanned: every other
-    candidate keeps its key and result, stale as they may be, as in numpy,
-    and its pair's positions shift down past the two operands removed.
-    With unlimited, where greedy would give up the path goes on from the
-    operands left with no size limit, opt_einsum's default: the pairs are
-    scanned again, and only the naive-cost test can still end the path in
-    a join of every operand left.
+    result has more elements than limit, by default the largest operand's,
+    or that takes the path's cost past the naive one-step cost, is no
+    candidate.  Pairs that share an index are scanned first; only when none
+    qualifies are all pairs, outer products included, scanned again, and
+    when still none does, the step joins every operand left and the path
+    ends: greedy gives up.  After a join only pairs with the new operand
+    are scanned: every other candidate keeps its key and result, stale as
+    they may be, as in numpy, and its pair's positions shift down past the
+    two operands removed.  limit=math.inf is opt_einsum's default, where
+    only the naive-cost test can end the path in a join of every operand.
     """
     n = len(masks)
     if n <= 2:
         return [tuple(range(n))]
     size = [k**bits for bits in range(max(masks).bit_length() + 1)]
-    limit = max(size[m.bit_count()] for m in masks)
+    if limit is None:
+        limit = max(size[m.bit_count()] for m in masks)
     everything = functools.reduce(operator.or_, masks)
     naive = size[everything.bit_count()] * n  # n - 1 joins, and an index is summed
     ops = list(masks)
@@ -168,17 +169,12 @@ def _greedy_path(masks, k, unlimited=False):
                 gain = size[a.bit_count()] + size[b.bit_count()] - kept
                 known.append(((-gain, flops), i, j, result))
 
-        while True:
-            for i, j in pairs:
-                if ops[i] & ops[j]:
-                    consider(i, j)
-            if not known:
-                for i, j in itertools.combinations(range(len(ops)), 2):
-                    consider(i, j)
-            if known or not unlimited or limit == math.inf:
-                break
-            limit = math.inf  # greedy gives up here; go on without its size limit
-            pairs = itertools.combinations(range(len(ops)), 2)
+        for i, j in pairs:
+            if ops[i] & ops[j]:
+                consider(i, j)
+        if not known:
+            for i, j in itertools.combinations(range(len(ops)), 2):
+                consider(i, j)
         if not known:
             path.append(tuple(range(len(ops))))
             break
@@ -202,17 +198,18 @@ class _Replay(NamedTuple):
 
     steps: tuple  # _Einsum and _Pair, each _Pair's shapes exponents of k
     intermediate: int  # the largest intermediate has k**intermediate entries
-    join: int | None  # the same for the largest step joining 3+ operands, if any
+    join: int | None  # the same for the step joining 3+ operands, if any
+    leftover: tuple  # that step's operands' index strings, in operand order
 
 
 @functools.lru_cache(maxsize=1024)
-def _replay(g, k, unlimited=False):
+def _replay(g, k):
     """Replay of g's greedy path on k blocks, as _plan describes it.
 
     _greedy_path uses k only to compare sizes k**e, and compares them
     alike on every k >= 2, so _plan replays at min(k, 2).  The proof below
-    covers greedy's own path; the unlimited one compares sizes past the
-    largest operand's, so _plan replays that at k itself:
+    covers greedy's own path, up to the join where it gives up; past it,
+    _plan goes on at k itself, from the operands that join takes:
     - Invariant.  Index v starts in 1 + deg(v) operands; a join lowers a
       count of 3 or more by one at most, and a count of 2 or 1 only to 0.
       So only an isolated vertex's vector holds an index no other holds.
@@ -239,25 +236,35 @@ def _replay(g, k, unlimited=False):
     """
     terms = [_LETTERS[v] for v in range(g.vertex_count)]
     terms += [_LETTERS[u] + _LETTERS[v] for u, v in sorted(g.edges)]
-    masks = [1 << v for v in range(g.vertex_count)]
-    masks += [masks[u] | masks[v] for u, v in sorted(g.edges)]
+    return _replay_from(terms, k)
 
-    steps = []
-    intermediate, join = 0, None
-    for step in _greedy_path(masks, k, unlimited):
+
+def _replay_from(terms, k, limit=None, steps=(), intermediate=0):
+    """Replay of _greedy_path(masks, k, limit) on operands whose index
+    strings are terms, its steps appended to steps: the replay that left
+    those operands, its largest intermediate k**intermediate entries.
+
+    Only a join where the path gives up takes 3+ operands, and it ends the
+    path with an empty result, so intermediate stays that of the steps
+    before it.
+    """
+    masks = [sum(1 << _LETTERS.index(ix) for ix in t) for t in terms]
+    terms, steps = list(terms), list(steps)
+    join, leftover = None, ()
+    for step in _greedy_path(masks, k, limit):
         positions = tuple(sorted(step, reverse=True))
         joined = [terms.pop(i) for i in positions]
         result = "".join(sorted(set("".join(joined)) & set("".join(terms))))
         terms.append(result)
         intermediate = max(intermediate, len(result))
         if len(joined) >= 3:
-            join = max(join or 0, len(set("".join(joined))))
+            join, leftover = len(set("".join(joined))), tuple(reversed(joined))
         if len(joined) == 2:
             steps.append(_pair(positions, *joined, result, k))
         else:
             # the ellipsis carries any leading batch axes of the operands
             steps.append(_Einsum(positions, "..." + ",...".join(joined) + "->..." + result))
-    return _Replay(tuple(steps), intermediate, join)
+    return _Replay(tuple(steps), intermediate, join, leftover)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -278,13 +285,17 @@ def _plan(g, k):
     When greedy finds no pair under its size limit it gives up: it joins
     every operand left in one step, whose index space the largest
     intermediate misses.  Below _SLICE_AT = 2**15 index combinations that
-    join stays, so the program is numpy's.  From 2**15 on, g is replayed
-    at k once more with greedy going on past its give-up point without the
-    size limit, and if that program's largest intermediate and any join it
-    gives up in are under 2**15 entries, it is the program.  Past the
-    give-up point every pair left joins into three or more indices, so
-    from k = 32 on (k**3 >= 2**15) it cannot fit, and that replay is not
-    run.  Otherwise the program slices the vertex of highest degree: one
+    join stays, so the program is numpy's.  From 2**15 on, the program
+    runs the cached replay's steps up to that join, then goes on at k from
+    the operands the join takes, which the replay records: greedy on them
+    alone with no size limit.  Its naive-cost test bounds only their path,
+    not the whole pattern's; tests/test_density.py checks that the path is
+    the one a whole-pattern search finds when it lifts the limit at the
+    give-up point.  If the whole program's largest intermediate and any
+    join it gives up in are under 2**15 entries, it is the program.  Past
+    the give-up point every pair left joins into three or more indices, so
+    from k = 32 on (k**3 >= 2**15) it cannot fit, and greedy does not go
+    on.  Otherwise the program slices the vertex of highest degree: one
     contraction of the rest of the pattern per block, planned by the same
     rule, one part per connected component -- greedy gives up on each
     component that is too dense, and one join of them all would nest a
@@ -294,7 +305,8 @@ def _plan(g, k):
     if replay.join is None or k**replay.join < _SLICE_AT:
         return _program_of(replay, g, k)
     if k**3 < _SLICE_AT:
-        program = _program_of(_replay(g, k, unlimited=True), g, k)
+        whole = _replay_from(replay.leftover, k, math.inf, replay.steps[:-1], replay.intermediate)
+        program = _program_of(whole, g, k)
         if program.size < _SLICE_AT:
             return program
     return _slice(g, k)

@@ -364,7 +364,13 @@ def as_graph(spec):
 
 def _parse(s, full):
     pos = full.find(s)
+    try:
+        return _build(s, full, pos)
+    except DomainError as exc:  # from a family constructor, or Graph itself
+        raise GraphSpecError(str(exc), full, pos) from exc
 
+
+def _build(s, full, pos):
     if s == "paw":
         return paw()
 
@@ -398,17 +404,8 @@ def _parse(s, full):
 
     m = _FAMILY_RE.match(s)
     if m:
-        letter, num = m.group(1), int(m.group(2))
-        try:
-            if letter == "P":
-                return path(num)
-            if letter == "C":
-                return cycle(num)
-            if letter == "K":
-                return complete(num)
-            return star(num)
-        except DomainError as exc:
-            raise GraphSpecError(str(exc), full, pos) from exc
+        family = {"P": path, "C": cycle, "K": complete, "S": star}[m.group(1)]
+        return family(int(m.group(2)))
 
     # report the position of the first character that breaks every rule
     bad = pos

@@ -156,16 +156,11 @@ def _structured_starts(k):
     return starts
 
 
-def _feasible_ratio(g, h, w, margin):
-    """log t(H,W) / log t(G,W), the float ratio_objective returns, or None
-    when W is infeasible."""
-    return _ratios(g, h, w.masses[None], w.weights[None], margin)[0]
-
-
 def _ratios(g, h, masses, weights, margin):
-    """_feasible_ratio of each graphon of a stack (masses (B, k), weights
-    (B, k, k)), a list; one batched run of G's program, and one of H's over
-    the graphons with t(G,W) in range."""
+    """For each graphon W of a stack (masses (B, k), weights (B, k, k)),
+    log t(H,W) / log t(G,W), the float ratio_objective returns, or None
+    when W is infeasible: a list, from one batched run of G's program and
+    one of H's over the graphons with t(G,W) in range."""
     tg = _densities(g, masses, weights)
     feasible = (0.0 < tg) & (tg <= 1.0 - margin)
     th = np.zeros_like(tg)
@@ -197,11 +192,11 @@ def _line_search(g, h, masses, weights, dm, dw, steps, ratios, cfg):
     return found
 
 
-def _ascend(g, h, masses, weights, cfg):
+def _ascend(g, h, masses, weights, ratios, cfg):
     """Projected gradient ascent from each start of a stack (masses (B, k),
-    weights (B, k, k)), all in lockstep; returns each start's best ratio
-    seen, a list, and the stacked graphons that reach them.  Each accepted
-    step raises the ratio, so the best point seen is the current one.
+    weights (B, k, k)) with its ratio, all in lockstep; returns each start's
+    best ratio seen, a list, and the stacked graphons that reach them.  Each
+    accepted step raises the ratio, so the best point seen is the current one.
 
     Per iteration one batched run and sweep of g and of h gives the ratio
     and gradient of every ascent still going.  Each ascent then takes the
@@ -211,10 +206,7 @@ def _ascend(g, h, masses, weights, cfg):
     did not serve.  An ascent no step size serves stops there.  So each
     ascent takes the path, and stops where, it would on its own.
     """
-    masses, weights = masses.copy(), weights.copy()
-    if cfg.iterations == 0:
-        return _objective(g, h, masses, weights)[0], masses, weights
-    best = [None] * len(masses)
+    masses, weights, best = masses.copy(), weights.copy(), list(ratios)
     going = np.arange(len(masses))
     for _ in range(cfg.iterations):
         m, w = masses[going], weights[going]
@@ -235,8 +227,7 @@ def _ascend(g, h, masses, weights, cfg):
             for s, f in zip(rest, later):
                 found[s] = f
         moved = []
-        for i, ratio, f in zip(going, ratios, found):
-            best[i] = ratio
+        for i, f in zip(going, found):
             if f is not None:
                 best[i], masses[i], weights[i] = f
                 moved.append(i)
@@ -295,10 +286,13 @@ def search_lower_bound(g_spec, h_spec, config=None):
     for members in groups.values():
         masses = np.stack([starts[i].masses for i in members])
         weights = np.stack([starts[i].weights for i in members])
-        feasible = [r is not None for r in _ratios(g, h, masses, weights, cfg.margin)]
+        ratios = _ratios(g, h, masses, weights, cfg.margin)
+        feasible = [r is not None for r in ratios]
         members = [i for i, ok in zip(members, feasible) if ok]
         if members:
-            ends.update(zip(members, zip(*_ascend(g, h, masses[feasible], weights[feasible], cfg))))
+            ratios = [r for r in ratios if r is not None]
+            ascents = _ascend(g, h, masses[feasible], weights[feasible], ratios, cfg)
+            ends.update(zip(members, zip(*ascents)))
 
     best_ratio = -math.inf
     best = None

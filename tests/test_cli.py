@@ -290,6 +290,16 @@ class TestMalformedInput:
         f.write_text("3\n0 1\n1 x\n")
         assert_input_error(capsys, ("rho", f"@{f}", "P2"), "graph-spec")
 
+    @pytest.mark.parametrize("spec", ["K[0]", "Gtail[0,1]"])
+    def test_spec_outside_its_family(self, capsys, spec):
+        assert_input_error(capsys, ("rho", spec, "K2"), "graph-spec")
+
+    @pytest.mark.parametrize("text", ["2\n0 0\n", "2\n0 5\n"], ids=["loop", "out-of-range"])
+    def test_edge_file_not_a_simple_graph(self, capsys, tmp_path, text):
+        f = tmp_path / "g.edges"
+        f.write_text(text)
+        assert_input_error(capsys, ("rho", f"@{f}", "P2"), "graph-spec")
+
     def test_enumeration_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RHOKIT_ENUM_CAP", "abc")
         assert_input_error(capsys, ("density", "K2", "--graphon", "builtin:half_block"), "domain")

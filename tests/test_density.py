@@ -1,8 +1,10 @@
 import contextlib
+import functools
 import importlib
 import inspect
 import itertools
 import math
+import operator
 import string
 import time
 
@@ -39,7 +41,17 @@ from rhokit import (
     star,
 )
 from rhokit.constructions import build_construction
-from rhokit.density import _contract, _greedy_path, _Pair, _plan, _replay, _Sliced
+from rhokit.density import (
+    _contract,
+    _greedy_path,
+    _Pair,
+    _plan,
+    _program_of,
+    _replay,
+    _replay_from,
+    _slice,
+    _Sliced,
+)
 from test_acceptance import _partitions
 
 # the package's density() function shadows the module's attribute name
@@ -479,6 +491,119 @@ def slice_at(threshold):
             _plan.cache_clear()
 
 
+def unlimited_reference(masks, k):
+    """greedy's path with its size limit lifted where it gives up, searched
+    from scratch: at the give-up point all pairs left are scanned again with
+    no limit, and the cost of the whole path so far and the whole pattern's
+    naive cost still bound every join.  The reference for _plan's
+    continuation from the leftover operands alone."""
+    n = len(masks)
+    if n <= 2:
+        return [tuple(range(n))]
+    size = [k**bits for bits in range(max(masks).bit_length() + 1)]
+    limit = max(size[m.bit_count()] for m in masks)
+    naive = size[functools.reduce(operator.or_, masks).bit_count()] * n
+    ops, path, known, cost = list(masks), [], [], 0
+    pairs = itertools.combinations(range(n), 2)
+    for _ in range(n - 1):
+        once = twice = more = 0
+        for m in ops:
+            more |= twice & m
+            twice = (twice | once & m) & ~more
+            once = (once | m) & ~(twice | more)
+
+        def consider(i, j):
+            a, b = ops[i], ops[j]
+            removed = once & (a ^ b) | twice & a & b
+            result = (a | b) & ~removed
+            kept = size[result.bit_count()]
+            flops = size[(a | b).bit_count()] * (2 if removed else 1)
+            if kept <= limit and cost + flops <= naive:
+                gain = size[a.bit_count()] + size[b.bit_count()] - kept
+                known.append(((-gain, flops), i, j, result))
+
+        while True:
+            for i, j in pairs:
+                if ops[i] & ops[j]:
+                    consider(i, j)
+            if not known:
+                for i, j in itertools.combinations(range(len(ops)), 2):
+                    consider(i, j)
+            if known or limit == math.inf:
+                break
+            limit = math.inf  # greedy gives up here
+            pairs = itertools.combinations(range(len(ops)), 2)
+        if not known:
+            path.append(tuple(range(len(ops))))
+            break
+        (_, flops), x, y, result = min(known, key=operator.itemgetter(0))
+        known = [
+            (key, i - (i > x) - (i > y), j - (j > x) - (j > y), r)
+            for key, i, j, r in known
+            if i != x and i != y and j != x and j != y
+        ]
+        ops = [m for i, m in enumerate(ops) if i != x and i != y] + [result]
+        pairs = ((i, len(ops) - 1) for i in range(len(ops) - 1))
+        path.append((x, y))
+        cost += flops
+    return path
+
+
+def continued(g, k):
+    """g's replay on k blocks past greedy's give-up point, as _plan builds
+    it: the cached replay's steps up to the give-up join, then greedy at k
+    with no size limit on the operands that join takes."""
+    replay = _replay(g, min(k, 2))
+    return _replay_from(replay.leftover, k, math.inf, replay.steps[:-1], replay.intermediate)
+
+
+def continued_path(g, k):
+    """The path continued(g, k) replays."""
+    leftover = [sum(1 << string.ascii_letters.index(ix) for ix in t) for t in _replay(g, 2).leftover]
+    return _greedy_path(operand_masks(g), k)[:-1] + _greedy_path(leftover, k, math.inf)
+
+
+def from_reference(g, k):
+    """g's replay on k blocks along unlimited_reference's path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density_module, "_greedy_path", lambda masks, k, _=None: unlimited_reference(masks, k))
+        return _replay.__wrapped__(g, k)
+
+
+def reference_plan(g, k):
+    """_plan(g, k) with the program past the give-up point taken from
+    unlimited_reference's path."""
+    replay = _replay(g, min(k, 2))
+    if replay.join is None or k**replay.join < 2**15:
+        return _program_of(replay, g, k)
+    if k**3 < 2**15:
+        program = _program_of(from_reference(g, k), g, k)
+        if program.size < 2**15:
+            return program
+    return _slice(g, k)
+
+
+@contextlib.contextmanager
+def replays():
+    """Cold plan caches, and a list of (terms, k, limit) per _replay_from
+    call made under it: one per replay of a pattern, one per continuation."""
+    calls = []
+
+    def counted(terms, k, limit=None, *rest):
+        calls.append((tuple(terms), k, limit))
+        return _replay_from(terms, k, limit, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density_module, "_replay_from", counted)
+        _plan.cache_clear()
+        _replay.cache_clear()
+        try:
+            yield calls
+        finally:
+            _plan.cache_clear()
+            _replay.cache_clear()
+
+
 # cases whose greedy path gives up in a join of 2**15 or more index
 # combinations, where the unlimited path stays under 2**15 entries
 UNLIMITED_CASES = [("K4", 14), ("K5", 8), ("K[3,4]", 5), ("K[4,4]", 5)]
@@ -488,7 +613,7 @@ def takes_unlimited_path(g, k):
     """Whether g's program on k blocks runs the unlimited path, unsliced,
     in place of a give-up join of 2**15 or more index combinations."""
     plan = _plan(g, k)
-    unlimited = density_module._program_of(_replay(g, k, unlimited=True), g, k)
+    unlimited = _program_of(continued(g, k), g, k)
     return k ** _replay(g, min(k, 2)).join >= 2**15 and plan == unlimited
 
 
@@ -522,23 +647,66 @@ class TestUnlimited:
         for k in (2, 5, 32):
             limited = _greedy_path(masks, k)
             assert len(limited[-1]) > 2  # greedy gives up
-            assert _greedy_path(masks, k, unlimited=True)[: len(limited) - 1] == limited[:-1]
+            reference = unlimited_reference(masks, k)
+            assert reference[: len(limited) - 1] == limited[:-1]
+            assert continued_path(g, k) == reference
 
     @pytest.mark.parametrize("spec", ["K4", "K5", "K[2,2,2]", "K[4,4]"])
     def test_unlimited_path_reaches_2_15_from_32_blocks(self, spec):
         # past the give-up point every join holds 3 or more indices, 32**3 = 2**15
         g = parse_graph_spec(spec)
-        assert 32 ** _replay(g, 32, unlimited=True).intermediate >= 2**15
+        assert 32 ** continued(g, 32).intermediate >= 2**15
+        assert continued(g, 32).intermediate == from_reference(g, 32).intermediate
 
     def test_no_unlimited_replay_from_32_blocks(self):
         g = complete(4)
-        _plan.cache_clear()
-        _replay.cache_clear()
-        for k in range(32, 81):
-            assert sliced(_plan(g, k))
-            assert _plan(g, k) == density_module._slice(g, k)
-        # K4's replay on 2 blocks and that of the K3 slicing leaves, no more
-        assert _replay.cache_info().misses == 2
+        with replays() as calls:
+            for k in range(32, 81):
+                assert sliced(_plan(g, k))
+                assert _plan(g, k) == _slice(g, k)
+            # K4's replay on 2 blocks and that of the K3 slicing leaves, no more
+            assert _replay.cache_info().misses == 2
+        assert [(k, limit) for _, k, limit in calls] == [(2, None)] * 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=13),
+        st.lists(st.booleans(), min_size=78, max_size=78),
+        st.integers(min_value=2, max_value=31),
+    )
+    def test_continued_path_is_the_reference(self, nv, keep, k):
+        # the give-up join's operands alone, with no size limit, find the
+        # path the whole pattern's search finds with the limit lifted there
+        g = random_pattern(nv, keep)
+        assume(_replay(g, 2).join is not None)
+        assert continued_path(g, k) == unlimited_reference(operand_masks(g), k)
+
+    def test_programs_are_the_reference_ones(self):
+        # criterion 8's 60 programs and the 42 cases tools/slice_threshold.py
+        # times, 47 of which go on past the give-up point
+        cases = [(multipartite(p), k) for p in _partitions(10, 5) for k in (2, 3)]
+        for spec in ("K4", "K[2,2,2]", "K[3,4]", "K[4,4]"):
+            g = parse_graph_spec(spec)
+            joins = {k: _replay(g, min(k, 2)).join for k in range(2, 25)}
+            cases += [(g, k) for k, j in joins.items() if j is not None and k**j < 2**20]
+        assert len(cases) == 102
+        went_on = 0
+        for g, k in cases:
+            assert _plan(g, k) == reference_plan(g, k), (sorted(g.edges), k)
+            join = _replay(g, min(k, 2)).join
+            went_on += join is not None and k**join >= 2**15 and k**3 < 2**15
+        assert went_on == 47
+
+    def test_continuation_starts_from_the_leftover(self):
+        # K4 on 14 blocks: its replay on 2 blocks, then greedy at 14 on the
+        # operands the give-up join takes, not on the whole pattern again
+        g = complete(4)
+        with replays() as calls:
+            assert takes_unlimited_path(g, 14)
+            leftover = _replay(g, 2).leftover
+        whole, rest = calls
+        assert whole[1:] == (2, None) and len(whole[0]) == 10
+        assert rest == (leftover, 14, math.inf) and 3 <= len(leftover) < 10
 
     def test_parts_planned_by_the_same_rule(self):
         # K5 on 14 blocks slices; the K4 left runs the unlimited path
@@ -573,7 +741,7 @@ class TestSlicing:
         # too, where the unlimited path reaches 2**15 entries as well
         g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
         assert 2**15 <= k ** _replay(g, min(k, 2)).join < 2**20
-        assert k ** _replay(g, k, unlimited=True).intermediate >= 2**15
+        assert k ** continued(g, k).intermediate >= 2**15
         assert sliced(_plan(g, k))
         assert density(g, w) == pytest.approx(density_oracle(g, w), rel=1e-12)
         gm, gw = density_gradient(g, w)
@@ -775,7 +943,7 @@ def replayed_at(g, k):
         mp.setattr(
             density_module,
             "_replay",
-            lambda g, _, unlimited=False: _replay.__wrapped__(g, k, unlimited),
+            lambda g, _: _replay.__wrapped__(g, k),
         )
         _plan.cache_clear()
         try:
@@ -870,14 +1038,14 @@ class TestThreshold:
 
     def test_one_replay_slices_per_block_count(self):
         g = complete(5)
-        _plan.cache_clear()
-        _replay.cache_clear()
-        assert not sliced(_plan(g, 7))  # 7**5 < 2**15
-        assert sliced(_plan(g, 32))
-        # K5's replay on 2 blocks serves both; the others are the K4 left by
-        # slicing, sliced too on 32 blocks, and the K3 left by that.  On 32
-        # blocks no unlimited replay runs (32**3 = 2**15)
-        assert _replay.cache_info().misses == 3
+        with replays() as calls:
+            assert not sliced(_plan(g, 7))  # 7**5 < 2**15
+            assert sliced(_plan(g, 32))
+            # K5's replay on 2 blocks serves both; the others are the K4 left
+            # by slicing, sliced too on 32 blocks, and the K3 left by that.  On
+            # 32 blocks greedy does not go on past its give-up point (32**3 = 2**15)
+            assert _replay.cache_info().misses == 3
+        assert [(k, limit) for _, k, limit in calls] == [(2, None)] * 3
 
     @pytest.mark.parametrize("spec", ["P3", "C4", "S4", "paw", "K[2,3]"])
     def test_no_give_up_join_never_slices(self, spec):

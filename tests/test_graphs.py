@@ -205,7 +205,9 @@ class TestSpecLanguage:
         g = parse_graph_spec(f"@{f}")
         assert as_path(g) == 3
 
-    @pytest.mark.parametrize("bad", ["", "  ", "P0", "C2", "Q7", "K[]", "0xP1", "P(", "paws"])
+    @pytest.mark.parametrize(
+        "bad", ["", "  ", "P0", "C2", "Q7", "K[]", "0xP1", "P(", "paws", "K[0]", "Gtail[0,1]"]
+    )
     def test_rejects(self, bad):
         with pytest.raises(GraphSpecError):
             parse_graph_spec(bad)

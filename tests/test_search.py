@@ -18,7 +18,7 @@ from rhokit import (
     sample_weighted_graph,
     search_lower_bound,
 )
-from rhokit.search import _feasible_ratio, _project_simplex
+from rhokit.search import _project_simplex, _ratios
 
 H = 1e-6
 
@@ -95,6 +95,11 @@ class TestRatioObjective:
             ratio_objective(g, h, wz)  # t(C3) = 0 on a bipartite graphon
 
 
+def feasible_ratio(g, h, w, margin):
+    """The ratio the search keeps for w, or None when w is infeasible."""
+    return _ratios(g, h, w.masses[None], w.weights[None], margin)[0]
+
+
 class TestLineSearchRatio:
     def test_ratio_only_where_feasible(self):
         margin = SearchConfig().margin
@@ -111,10 +116,10 @@ class TestLineSearchRatio:
             g, h = parse_graph_spec(gs), parse_graph_spec(hs)
             # the ascent's end point too: its ratio came from ratio_objective's sweeps
             found = search_lower_bound(gs, hs, cfg)
-            assert _feasible_ratio(g, h, found.best_graphon, margin) == found.best_ratio
+            assert feasible_ratio(g, h, found.best_graphon, margin) == found.best_ratio
             for w in [*graphons, found.best_graphon]:
                 feasible = 0.0 < density(g, w) <= 1.0 - margin and density(h, w) > 0.0
-                r = _feasible_ratio(g, h, w, margin)
+                r = feasible_ratio(g, h, w, margin)
                 if feasible:
                     assert r == ratio_objective(g, h, w)[0]
                 else:
@@ -223,7 +228,7 @@ class TestSearch:
         assert {w.block_count for w in starts} == {2, 8}
         res = search_lower_bound("C3", "C4", cfg)
         g, h = parse_graph_spec("C3"), parse_graph_spec("C4")
-        assert _feasible_ratio(g, h, res.best_graphon, cfg.margin) == res.best_ratio
+        assert feasible_ratio(g, h, res.best_graphon, cfg.margin) == res.best_ratio
         assert res.best_ratio <= res.catalog_upper + 1e-6
 
     def test_json_and_dump(self):

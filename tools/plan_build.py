@@ -9,8 +9,11 @@ multipartite graphs of the partitions of 10 into at most 5 parts, on 2 and 3
 blocks).  Each set is built 5 times, each time after clearing every
 plan-level cache (the programs and the per-pattern replays they are filled
 in from).  Printed as JSON: per set, the best time in milliseconds and the
-number of greedy-path replays one cold build runs (_replay's cache misses;
-null for a checkout without _replay).
+number of greedy-path replays one more, untimed, cold build runs: calls of
+_replay_from, one per pattern replayed and one per continuation past
+greedy's give-up point.  A checkout without _replay_from ran each such
+continuation as a _replay of the whole pattern, so there the count is
+_replay's cache misses (null for a checkout without _replay).
 """
 
 import importlib
@@ -50,18 +53,41 @@ PLAN_CACHES = [
 CRITERION_8 = [(multipartite(p), k) for p in partitions(10, 5) for k in (2, 3)]
 
 
+def build(programs):
+    """Seconds to build programs from a cold cache."""
+    for cache in PLAN_CACHES:
+        cache.cache_clear()
+    start = time.perf_counter()
+    for g, k in programs:
+        density_module._plan(g, k)
+    return time.perf_counter() - start
+
+
+def cold_replays(programs):
+    """Greedy-path replays one cold build of programs runs."""
+    replay_from = getattr(density_module, "_replay_from", None)
+    if replay_from is None:
+        build(programs)
+        replay = getattr(density_module, "_replay", None)
+        return replay and replay.cache_info().misses
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return replay_from(*args)
+
+    density_module._replay_from = counted
+    try:
+        build(programs)
+    finally:
+        density_module._replay_from = replay_from
+    return len(calls)
+
+
 def best_ms(programs, repeats=5):
     """(best build time in ms, cold replay count) of programs."""
-    best = float("inf")
-    for _ in range(repeats):
-        for cache in PLAN_CACHES:
-            cache.cache_clear()
-        start = time.perf_counter()
-        for g, k in programs:
-            density_module._plan(g, k)
-        best = min(best, time.perf_counter() - start)
-    replay = getattr(density_module, "_replay", None)
-    return best * 1000, replay and replay.cache_info().misses
+    best = min(build(programs) for _ in range(repeats))
+    return best * 1000, cold_replays(programs)
 
 
 if __name__ == "__main__":

@@ -3,11 +3,12 @@
     PYTHONPATH=src python tools/slice_threshold.py
 
 Point PYTHONPATH at another checkout's src to time that checkout (it needs
-_replay's unlimited argument and density._slice).  When greedy finds no
-pair under its size limit, its path ends in one step joining every operand
-left.  From _SLICE_AT index combinations on, _plan takes greedy's path on
-past that point without the size limit, and slices a vertex where that
-path's largest intermediate or give-up join reaches _SLICE_AT entries too.
+_replay's leftover operands, _replay_from and density._slice).  When greedy
+finds no pair under its size limit, its path ends in one step joining every
+operand left.  From _SLICE_AT index combinations on, _plan goes on past
+that point from the operands the join takes, by greedy without the size
+limit, and slices a vertex where that path's largest intermediate or
+give-up join reaches _SLICE_AT entries too.
 The cases are K4, K[2,2,2], K[3,4] and K[4,4] on 2-24 blocks wherever
 greedy's path ends in such a join of fewer than 2**20 combinations.  Per
 case three programs are timed on one random graphon: the naive join
@@ -26,6 +27,7 @@ One JSON object is printed, times in milliseconds:
 
 import importlib
 import json
+import math
 import time
 
 import numpy as np
@@ -49,7 +51,11 @@ def random_graphon(k, seed):
 def programs(g, k):
     """g's programs on k blocks: greedy's own, the unlimited path, sliced."""
     naive = density_module._replay(g, min(k, 2))
-    unlimited = density_module._replay(g, k, unlimited=True)
+    # the unlimited path: greedy's own up to the give-up join, then greedy at
+    # k with no size limit on the operands that join takes
+    unlimited = density_module._replay_from(
+        naive.leftover, k, math.inf, naive.steps[:-1], naive.intermediate
+    )
     return {
         "naive": density_module._program_of(naive, g, k),
         "unlimited": density_module._program_of(unlimited, g, k),
