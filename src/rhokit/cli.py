@@ -43,8 +43,13 @@ def _fail(code, message, exit_code=2):
 def _load_graphon(spec):
     """A .graphon file path, or ``builtin:kind[:p1,p2,...][@scale]``."""
     if not spec.startswith("builtin:"):
-        with open(spec) as fh:
-            return WeightedGraph.load(fh)
+        try:
+            with open(spec) as fh:
+                return WeightedGraph.load(fh)
+        except FileNotFoundError:
+            raise
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+            raise DomainError(f"cannot read graphon file {spec!r}: {exc}") from None
     body = spec[len("builtin:") :]
     scale = 1
     if "@" in body:

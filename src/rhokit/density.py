@@ -34,9 +34,11 @@ intermediate and any give-up join it has stay under 2**15 entries, the
 program runs it: K4 on 24 blocks takes 0.14 ms, against 0.7 ms sliced and
 4 ms in one join (tools/slice_threshold.py on 2 CPUs, numpy 2.4).
 Otherwise the program slices one vertex instead (as in tensor-network
-slicing, Gray & Kourtis 2021), to bound memory: its one step loops over
-that vertex's blocks and runs the rest of the pattern per block, one
-program per connected component, each chosen by the same rule.  Past the
+slicing, Gray & Kourtis 2021), to bound memory: its one step runs the rest
+of the pattern, one program per connected component, each chosen by the
+same rule, on a chunk of that vertex's blocks at a time, the chunk a
+leading batch axis (K4 on 32 blocks: 16 blocks a chunk, 0.2 ms against
+0.7 ms one block at a time).  Past the
 give-up point every pair left joins into three or more indices, so from
 32 blocks on (32**3 = 2**15) the unlimited path cannot fit, greedy does
 not go on, and the program slices.  A configurable cap rejects a program
@@ -52,6 +54,7 @@ way hom_count counts past int64.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -70,6 +73,10 @@ DEFAULT_ENUM_CAP = 10**8
 # size limit past that join, or for slicing where that path's intermediates
 # reach this many entries too
 _SLICE_AT = 2**15
+# a sliced program runs its vertex's blocks in chunks on a leading batch axis,
+# as many blocks a chunk as keep each part's intermediates within this many
+# entries (one block a chunk where a part alone is larger)
+_CHUNK = 2**14
 # below log 2**-1000 a term may be subnormal, and log_density counts exactly
 _NORMAL_LOG = -1000 * math.log(2)
 _CLAMP_TOL = 1e-12  # float noise past [0, 1] that density clamps; beyond it raises
@@ -114,7 +121,8 @@ class _Pair(NamedTuple):
 class _Sliced(NamedTuple):
     """A sum over the blocks of one summed vertex: per block, each part's
     plan contracts its vertices, and the parts' results multiply.  The only
-    step of its program."""
+    step of its program.  Each part's plan runs once per chunk of blocks,
+    the chunk a leading batch axis (see _evaluate)."""
 
     vertex: int
     neighbours: tuple
@@ -136,9 +144,12 @@ def _greedy_path(masks, k, limit=None):
     when still none does, the step joins every operand left and the path
     ends: greedy gives up.  After a join only pairs with the new operand
     are scanned: every other candidate keeps its key and result, stale as
-    they may be, as in numpy, and its pair's positions shift down past the
-    two operands removed.  limit=math.inf is opt_einsum's default, where
-    only the naive-cost test can end the path in a join of every operand.
+    they may be, as in numpy.  Candidates wait in a list sorted by key, then
+    by the order they were found, which is numpy's list order; one whose
+    operand is gone is dropped when it comes up.  Operands keep the id they
+    were made with, and a step's positions are read off the operands left.
+    limit=math.inf is opt_einsum's default, where only the naive-cost test
+    can end the path in a join of every operand.
     """
     n = len(masks)
     if n <= 2:
@@ -148,13 +159,16 @@ def _greedy_path(masks, k, limit=None):
         limit = max(size[m.bit_count()] for m in masks)
     everything = functools.reduce(operator.or_, masks)
     naive = size[everything.bit_count()] * n  # n - 1 joins, and an index is summed
-    ops = list(masks)
+    ops = dict(enumerate(masks))  # by id; ids ascend in operand list order
+    # known: candidates (gain, -flops, -order found, i, j, result), sorted,
+    # so the least key (-gain, flops), first found on ties, is the last
     path, known, cost = [], [], 0
+    order = itertools.count()
     pairs = itertools.combinations(range(n), 2)
-    for _ in range(n - 1):
+    for new in range(n, 2 * n - 1):
         # indices held by exactly one operand, and by exactly two
         once = twice = more = 0
-        for m in ops:
+        for m in ops.values():
             more |= twice & m
             twice = (twice | once & m) & ~more
             once = (once | m) & ~(twice | more)
@@ -167,28 +181,26 @@ def _greedy_path(masks, k, limit=None):
             flops = size[(a | b).bit_count()] * (2 if removed else 1)
             if kept <= limit and cost + flops <= naive:
                 gain = size[a.bit_count()] + size[b.bit_count()] - kept
-                known.append(((-gain, flops), i, j, result))
+                bisect.insort(known, (gain, -flops, -next(order), i, j, result))
 
         for i, j in pairs:
             if ops[i] & ops[j]:
                 consider(i, j)
+        while known and (known[-1][3] not in ops or known[-1][4] not in ops):
+            known.pop()
         if not known:
-            for i, j in itertools.combinations(range(len(ops)), 2):
+            for i, j in itertools.combinations(ops, 2):
                 consider(i, j)
         if not known:
             path.append(tuple(range(len(ops))))
             break
-        (_, flops), x, y, result = min(known, key=operator.itemgetter(0))
-        known = [
-            (key, i - (i > x) - (i > y), j - (j > x) - (j > y), r)
-            for key, i, j, r in known
-            if i != x and i != y and j != x and j != y
-        ]
-        ops = [m for i, m in enumerate(ops) if i != x and i != y] + [result]
-        new = len(ops) - 1
-        pairs = ((i, new) for i in range(new))
-        path.append((x, y))
-        cost += flops
+        _, negated_flops, _, x, y, result = known.pop()
+        ids = list(ops)
+        path.append((ids.index(x), ids.index(y)))
+        del ops[x], ops[y]
+        pairs = [(i, new) for i in ops]
+        ops[new] = result
+        cost -= negated_flops
     return path
 
 
@@ -406,7 +418,8 @@ def _evaluate(plan, factors, weights, tape=None):
     """Run plan's steps on its operand list; each step pops its operands and
     appends its result, and the last result is the contraction.  Given a list
     as tape, for _sweep, each step appends (step, operands popped) to it, and
-    a _Sliced step (step, factors, per block (mass, each part's (value, tape))).
+    a _Sliced step (step, factors, per chunk (its blocks' index, their
+    masses, each part's (value, tape))).
 
     Factors of shape lead + (k,) and weights of shape lead + (k, k) run one
     contraction per index of the leading batch axes, lead = () for a single
@@ -414,6 +427,13 @@ def _evaluate(plan, factors, weights, tape=None):
     reshape keeps them in front, and a permutation, written on negative axes,
     leaves them in place.  np.matmul and the einsum kernels loop over the
     batch, so every contraction has the bits of its own run with lead = ().
+    A _Sliced step runs each part's plan once per chunk of the vertex's
+    blocks, the chunk a new leading batch axis in front of lead (none for a
+    chunk of one block): the blocks' masses, each neighbour's factor times
+    the blocks' weight rows, and the other operands broadcast along it.  So each block's term has the bits of
+    a run on that block alone, and the terms are summed block by block, in
+    block order.  _blocks_per_chunk keeps every part's intermediates, batch
+    axes included, within _CHUNK entries.
     """
     lead = weights.shape[:-2]
     ops = [*factors, *[weights] * plan.edge_count]
@@ -446,27 +466,42 @@ def _evaluate(plan, factors, weights, tape=None):
         else:  # _Sliced
             r = 0
             if tape is not None:
-                blocks = []
-                tape.append((step, factors, blocks))
-            for b in range(weights.shape[-1]):
-                mass = ops[step.vertex][..., b]
-                sliced = list(ops)
-                # weights is symmetric, so row b serves edges (vertex, u) and (u, vertex)
-                for u in step.neighbours:
-                    sliced[u] = ops[u] * weights[..., b, :]
-                if tape is not None:
-                    parts = []
-                    blocks.append((mass, parts))
-                term = mass
+                chunks = []
+                tape.append((step, factors, chunks))
+            c = _blocks_per_chunk(step, max(math.prod(lead), 1))
+            masses = np.moveaxis(ops[step.vertex], -1, 0)
+            # every other operand per block, block first: a neighbour's factor
+            # times the block's weight row (weights is symmetric, so row b
+            # serves edges (vertex, u) and (u, vertex)), the rest broadcast
+            rows = np.moveaxis(weights, -2, 0)
+            per_block = [
+                x * rows if u in step.neighbours else np.broadcast_to(x, (len(rows), *x.shape))
+                for u, x in enumerate((*ops, weights))
+            ]
+            for b0 in range(0, len(rows), c):
+                # the chunk's blocks on a new leading batch axis; a chunk of
+                # one block takes none, as an axis of length 1 only costs time
+                blocks = slice(b0, b0 + c) if c > 1 else b0
+                mass = masses[blocks]
+                term, parts = mass, []
                 for vertices, part in step.parts:
+                    chunk = [per_block[u][blocks] for u in vertices]
                     part_tape = None if tape is None else []
-                    value = _evaluate(part, [sliced[u] for u in vertices], weights, part_tape)
-                    if tape is not None:
-                        parts.append((value, part_tape))
+                    value = _evaluate(part, chunk, per_block[-1][blocks], part_tape)
+                    parts.append((value, part_tape))
                     term = term * value
-                r = r + term
+                if tape is not None:
+                    chunks.append((blocks, mass, parts))
+                for block_term in term if c > 1 else [term]:  # in block order
+                    r = r + block_term
         ops.append(_keep(r))
     return ops[-1]
+
+
+def _blocks_per_chunk(step, graphons):
+    """How many blocks of a _Sliced step run at once over a stack of graphons:
+    as many as keep every part's intermediates within _CHUNK entries, or one."""
+    return max(1, _CHUNK // (max(part.size for _, part in step.parts) * graphons))
 
 
 def _sweep(tape, n, weights):
@@ -479,29 +514,42 @@ def _sweep(tape, n, weights):
     its adjoint goes back in where that step popped it, and the list ends
     aligned with [factors..., weights once per edge].  The weight adjoint
     sums the edges' adjoints, each in its edge's (u, v) orientation.
-    A _Sliced step takes, per block b, the product rule across its parts'
-    recorded values and one sweep of each part's tape.  A neighbour's factor
-    there is factors[u] * weights[b], so its adjoint also feeds row b of the
-    weight adjoint (weights is symmetric, as in _evaluate).
+    A _Sliced step sweeps each part's tape once per chunk, as _evaluate ran
+    it, and takes, per block b, the product rule across its parts' recorded
+    values, adding into the adjoints block by block, in block order.  A
+    neighbour's factor there is factors[u] * weights[b], so its adjoint also
+    feeds row b of the weight adjoint (weights is symmetric, as in _evaluate).
     Leading batch axes run through as in _evaluate: the first adjoint is one
     per contraction, and a per-contraction coefficient broadcasts over blocks.
     """
     total = np.zeros_like(weights)
     if type(tape[0][0]) is _Sliced:
-        ((step, factors, blocks),) = tape
+        ((step, factors, chunks),) = tape
         adjoints = [np.zeros_like(f) for f in factors]
-        for b, (mass, parts) in enumerate(blocks):
+        for blocks, mass, parts in chunks:
+            chunk_weights = np.broadcast_to(weights, mass.shape + weights.shape[-2:])
             values = [value for value, _ in parts]
-            adjoints[step.vertex][..., b] += math.prod(values)
-            for p, ((vertices, _), (_, part_tape)) in enumerate(zip(step.parts, parts)):
-                c = (mass * math.prod(values[:p] + values[p + 1 :]))[..., None]
-                part_adjoints, part_total = _sweep(part_tape, len(vertices), weights)
-                total += c[..., None] * part_total
-                for u, adjoint in zip(vertices, part_adjoints):
-                    if u in step.neighbours:
-                        total[..., b, :] += c * adjoint * factors[u]
-                        adjoint = adjoint * weights[..., b, :]
-                    adjoints[u] += c * adjoint
+            swept = [
+                _sweep(part_tape, len(vertices), chunk_weights)
+                for (vertices, _), (_, part_tape) in zip(step.parts, parts)
+            ]
+            if type(blocks) is int:  # give a one-block chunk its block's axis
+                mass, values = mass[None], [value[None] for value in values]
+                swept = [([a[None] for a in part], t[None]) for part, t in swept]
+                blocks = slice(blocks, blocks + 1)
+            for j, b in enumerate(range(weights.shape[-1])[blocks]):
+                block_values = [value[j] for value in values]
+                adjoints[step.vertex][..., b] += math.prod(block_values)
+                for p, (vertices, _) in enumerate(step.parts):
+                    c = (mass[j] * math.prod(block_values[:p] + block_values[p + 1 :]))[..., None]
+                    part_adjoints, part_total = swept[p]
+                    total += c[..., None] * part_total[j]
+                    for u, adjoint in zip(vertices, part_adjoints):
+                        adjoint = adjoint[j]
+                        if u in step.neighbours:
+                            total[..., b, :] += c * adjoint * factors[u]
+                            adjoint = adjoint * weights[..., b, :]
+                        adjoints[u] += c * adjoint
         return adjoints, total
     ones = np.ones(weights.shape[-1])
     adjoints = [np.ones(weights.shape[:-2])]

@@ -432,8 +432,13 @@ def parse_count(text, what):
 
 def load_edge_list(path_):
     """Read a ``.edges`` file: first line vertex count, then 0-indexed pairs."""
-    with open(path_) as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path_) as fh:
+            tokens = fh.read().split()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise GraphSpecError(f"cannot read edge file {path_!r}: {exc}") from None
     if not tokens:
         raise GraphSpecError(f"empty edge file {path_!r}")
     try:

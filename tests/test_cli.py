@@ -300,6 +300,23 @@ class TestMalformedInput:
         f.write_text(text)
         assert_input_error(capsys, ("rho", f"@{f}", "P2"), "graph-spec")
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    def test_unreadable_edge_file(self, capsys, tmp_path, kind):
+        f = tmp_path / "g.edges"
+        f.mkdir() if kind == "directory" else f.write_bytes(b"\xff\xfe 2\n0 1\n")
+        assert_input_error(capsys, ("rho", f"@{f}", "K2"), "graph-spec")
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    def test_unreadable_graphon_file(self, capsys, tmp_path, kind):
+        f = tmp_path / "w.graphon"
+        f.mkdir() if kind == "directory" else f.write_bytes(b"\xff\xfe 1\n1.0\n0.5\n")
+        assert_input_error(capsys, ("density", "C4", "--graphon", str(f)), "domain")
+
+    def test_missing_files(self, capsys, tmp_path):
+        edges, graphon = tmp_path / "missing.edges", tmp_path / "missing.graphon"
+        assert_input_error(capsys, ("rho", f"@{edges}", "K2"), "file-not-found")
+        assert_input_error(capsys, ("density", "C4", "--graphon", str(graphon)), "file-not-found")
+
     def test_enumeration_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RHOKIT_ENUM_CAP", "abc")
         assert_input_error(capsys, ("density", "K2", "--graphon", "builtin:half_block"), "domain")

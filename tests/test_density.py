@@ -926,6 +926,164 @@ class TestBatch:
             assert_batch_bits(g, k, count, seed=k + count)
 
 
+def per_block_evaluate(plan, factors, weights, tape=None):
+    """The reference for chunked slices: _evaluate, except that a _Sliced
+    step runs each part once per block, with no batch axis for the block,
+    and sums the terms in block order.  Its tape holds (step, factors, per
+    block (mass, each part's (value, tape)))."""
+    step = plan.steps[0]
+    if type(step) is not _Sliced:
+        return density_module._evaluate(plan, factors, weights, tape)
+    r = 0
+    if tape is not None:
+        blocks = []
+        tape.append((step, factors, blocks))
+    for b in range(weights.shape[-1]):
+        mass = factors[step.vertex][..., b]
+        one = list(factors)
+        for u in step.neighbours:
+            one[u] = factors[u] * weights[..., b, :]
+        parts = []
+        term = mass
+        for vertices, part in step.parts:
+            part_tape = None if tape is None else []
+            value = per_block_evaluate(part, [one[u] for u in vertices], weights, part_tape)
+            parts.append((value, part_tape))
+            term = term * value
+        if tape is not None:
+            blocks.append((mass, parts))
+        r = r + term
+    return density_module._keep(r)
+
+
+def per_block_sweep(tape, n, weights):
+    """_sweep of a tape per_block_evaluate recorded, one block at a time."""
+    if type(tape[0][0]) is not _Sliced:
+        return density_module._sweep(tape, n, weights)
+    ((step, factors, blocks),) = tape
+    total = np.zeros_like(weights)
+    adjoints = [np.zeros_like(f) for f in factors]
+    for b, (mass, parts) in enumerate(blocks):
+        values = [value for value, _ in parts]
+        adjoints[step.vertex][..., b] += math.prod(values)
+        for p, ((vertices, _), (_, part_tape)) in enumerate(zip(step.parts, parts)):
+            c = (mass * math.prod(values[:p] + values[p + 1 :]))[..., None]
+            part_adjoints, part_total = per_block_sweep(part_tape, len(vertices), weights)
+            total += c[..., None] * part_total
+            for u, adjoint in zip(vertices, part_adjoints):
+                if u in step.neighbours:
+                    total[..., b, :] += c * adjoint * factors[u]
+                    adjoint = adjoint * weights[..., b, :]
+                adjoints[u] += c * adjoint
+    return adjoints, total
+
+
+def taped_arrays(tape):
+    """Every array a tape holds, parts' tapes included."""
+    for entry in tape:
+        if type(entry[0]) is _Sliced:
+            _, factors, chunks = entry
+            yield from factors
+            for _, mass, parts in chunks:
+                yield mass
+                for value, part_tape in parts:
+                    yield value
+                    yield from taped_arrays(part_tape)
+        else:
+            yield from entry[1]
+
+
+# (pattern, block count, blocks a chunk on one graphon); K4 on 128 blocks
+# takes one block a chunk, K5 on 17 a last chunk of two, and K5 on 32 runs
+# one block a chunk of a part that slices again, 16 blocks a chunk
+CHUNKED = [
+    ("K4", 32, 16), ("K4", 33, 15), ("K4", 80, 2), ("K4", 128, 1), ("K5", 17, 3), ("K5", 32, 1)
+]  # fmt: skip
+
+
+class TestChunks:
+    @pytest.mark.parametrize("spec,k,c", CHUNKED)
+    def test_density_is_the_per_block_one(self, spec, k, c):
+        g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
+        step = sliced(_plan(g, k))
+        assert step and density_module._blocks_per_chunk(step, 1) == c
+        factors = [w.masses] * g.vertex_count
+        reference = per_block_evaluate(_plan(g, k), factors, w.weights)
+        assert density(g, w) == reference.item()
+        got = density_module._evaluate(_plan(g, k), factors, w.weights)
+        assert np.asarray(got).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec,k", [("K4", 32), ("K4", 33), ("K4", 80), ("K4", 128), ("K5", 17), ("2xK4", 40)]
+    )
+    def test_hom_count_is_the_per_block_one(self, spec, k):
+        g, t = parse_graph_spec(spec), complete(k)
+        ones = np.ones(k, dtype=np.int64)
+        reference = per_block_evaluate(_plan(g, k), [ones] * g.vertex_count, t.adjacency())
+        assert hom_count(g, t) == reference.item() == hom_count_oracle_complete(g, k)
+
+    def test_object_route_is_the_per_block_one(self):
+        # K4 with 15 pendant leaves on its vertex 3: Python ints past int64
+        k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        g, t = Graph.from_edges(19, k4 + [(3, v) for v in range(4, 19)]), complete(40)
+        ones, adjacency = np.ones(40, dtype=object), t.adjacency().astype(object)
+        got = _contract(g, [ones] * g.vertex_count, adjacency)
+        assert type(got) is int and got > 2**63
+        assert got == per_block_evaluate(_plan(g, 40), [ones] * g.vertex_count, adjacency).item()
+
+    @pytest.mark.parametrize("spec,k,c", CHUNKED)
+    def test_gradient_is_the_per_block_one(self, spec, k, c):
+        g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
+        plan, factors = _plan(g, k), [w.masses] * g.vertex_count
+        tape, reference_tape = [], []
+        density_module._evaluate(plan, factors, w.weights, tape)
+        per_block_evaluate(plan, factors, w.weights, reference_tape)
+        adjoints, total = density_module._sweep(tape, g.vertex_count, w.weights)
+        ref_adjoints, ref_total = per_block_sweep(reference_tape, g.vertex_count, w.weights)
+        # the adjoints add up block by block, in block order, as the reference's do
+        assert total.tobytes() == ref_total.tobytes()
+        for got, ref in zip(adjoints, ref_adjoints):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("spec,k", [("K4", 33), ("K5", 17)])
+    def test_stack_is_each_graphon_alone(self, spec, k):
+        # 3 graphons share a chunk of blocks: 5 blocks a chunk for K4 on 33
+        g = parse_graph_spec(spec)
+        rng = np.random.default_rng(k)
+        masses = rng.random((3, k)) + 0.1
+        masses /= masses.sum(axis=1, keepdims=True)
+        a = rng.random((3, k, k))
+        weights = (a + a.swapaxes(1, 2)) / 2
+        plan = _plan(g, k)
+        chunk = functools.partial(density_module._blocks_per_chunk, sliced(plan))
+        assert chunk(3) < chunk(1)
+        assert_batch_bits(g, k, 3, seed=k)
+        stacked = density_module._evaluate(plan, [masses] * g.vertex_count, weights)
+        for i in range(3):
+            alone = per_block_evaluate(plan, [masses[i]] * g.vertex_count, weights[i])
+            assert stacked[i].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("spec,k,c", CHUNKED)
+    def test_chunks_stay_within_the_bound(self, spec, k, c):
+        g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
+        tape = []
+        density_module._evaluate(_plan(g, k), [w.masses] * g.vertex_count, w.weights, tape)
+        ((_, _, chunks),) = tape
+        # a chunk of one block is indexed without an axis for it
+        assert [blocks for blocks, _, _ in chunks] == [
+            slice(b0, b0 + c) if c > 1 else b0 for b0 in range(0, k, c)
+        ]
+        assert max(np.size(x) for x in taped_arrays(tape)) <= density_module._CHUNK
+
+
+def hom_count_oracle_complete(g, k):
+    """hom(g, K_k) for g a disjoint union of complete graphs."""
+    count = 1
+    for component in g.components():
+        count *= math.perm(k, len(component))
+    return count
+
+
 # block counts from 2 on, where every pattern's greedy path is its path on 2
 BLOCK_COUNTS = (2, 3, 4, 33, 80)
 

@@ -1,4 +1,5 @@
-"""Time the three programs _plan chooses among where greedy gives up.
+"""Time the three programs _plan chooses among where greedy gives up, and
+the sliced programs of K4 and K5 on many blocks.
 
     PYTHONPATH=src python tools/slice_threshold.py
 
@@ -22,6 +23,11 @@ One JSON object is printed, times in milliseconds:
   intermediate or give-up join) and which of the three _plan picked.
 - totals_ms: per program, the sum over the cases, and for "picked" the
   sum of the programs _plan picked.
+- sliced: K4 and K5 on the block counts of perfbench's density_large
+  workload (32-80) and on 128, where _plan slices: per case sliced_ms and
+  blocks_per_chunk, how many of the sliced vertex's blocks one run of the
+  rest of the pattern takes on one graphon (1 on a checkout that runs one
+  block at a time); and their total sliced_ms.
 - slice_at: the checkout's _SLICE_AT.
 """
 
@@ -39,6 +45,7 @@ density_module = importlib.import_module("rhokit.density")
 
 PATTERNS = ("K4", "K[2,2,2]", "K[3,4]", "K[4,4]")
 PROGRAMS = ("naive", "unlimited", "sliced")
+SLICED = [(spec, k) for spec in ("K4", "K5") for k in (32, 36, 40, 48, 56, 64, 72, 80, 128)]
 
 
 def random_graphon(k, seed):
@@ -78,6 +85,13 @@ def run_ms(plan, g, w, repeats=3, target_s=0.02):
     return best * 1000
 
 
+def blocks_per_chunk(plan):
+    """Blocks of the sliced vertex that one run of the rest takes at once."""
+    if not hasattr(density_module, "_blocks_per_chunk"):
+        return 1
+    return density_module._blocks_per_chunk(plan.steps[0], 1)
+
+
 if __name__ == "__main__":
     cases, totals = [], dict.fromkeys((*PROGRAMS, "picked"), 0.0)
     for spec in PATTERNS:
@@ -98,8 +112,15 @@ if __name__ == "__main__":
             case["unlimited_size"] = plans["unlimited"].size
             case["picked"] = name
             cases.append(case)
+    sliced = []
+    for spec, k in SLICED:
+        g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
+        plan = density_module._plan(g, k)
+        case = {"pattern": spec, "blocks": k, "sliced_ms": run_ms(plan, g, w)}
+        sliced.append({**case, "blocks_per_chunk": blocks_per_chunk(plan)})
     print(json.dumps({
         "cases": cases,
         "totals_ms": totals,
+        "sliced": {"cases": sliced, "total_ms": sum(case["sliced_ms"] for case in sliced)},
         "slice_at": density_module._SLICE_AT,
     }))  # fmt: skip
