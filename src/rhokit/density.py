@@ -19,8 +19,12 @@ program on greedy's path gets the same bits as np.einsum(optimize="greedy")
 (below, where greedy gives up, the path may leave it); older releases join
 pairs by tensordot, and there the two agree to rounding.
 Object operands stay object through every step, 0-d results included, so
-counts past int64 stay exact.  search.density_gradient differentiates the
-same run: _evaluate records each step's operands, and _sweep walks them back.
+counts past int64 stay exact.  _contract is the one entry into the engine:
+density, hom_count, log_density and the search (t(G, W), the ratios and,
+through _sweep, the gradients) all call it.  It checks the pattern and the
+cap, looks up the program and runs it (_evaluate).  search.density_gradient
+differentiates the same run: _evaluate records each step's operands, and
+_sweep walks them back.
 Both also run over a stack of graphons, operands with leading batch axes
 that every step's equations carry in an ellipsis; each graphon of the stack
 gets the bits of its own run, and a single graphon has no batch axes.
@@ -31,20 +35,17 @@ program runs the cached replay up to that join, and from the operands the
 join takes goes on at the block count itself, by greedy without its size
 limit (opt_einsum's default; Smith & Gray 2018).  If that path's largest
 intermediate and any give-up join it has stay under 2**15 entries, the
-program runs it: K4 on 24 blocks takes 0.14 ms, against 0.7 ms sliced and
-4 ms in one join (tools/slice_threshold.py on 2 CPUs, numpy 2.4).
+program runs it (tools/slice_threshold.py times the three programs).
 Otherwise the program slices one vertex instead (as in tensor-network
 slicing, Gray & Kourtis 2021), to bound memory: its one step runs the rest
 of the pattern, one program per connected component, each chosen by the
-same rule, on a chunk of that vertex's blocks at a time, the chunk a
-leading batch axis (K4 on 32 blocks: 16 blocks a chunk, 0.2 ms against
-0.7 ms one block at a time).  Past the
-give-up point every pair left joins into three or more indices, so from
-32 blocks on (32**3 = 2**15) the unlimited path cannot fit, greedy does
-not go on, and the program slices.  A configurable cap rejects a program
-whose size -- its largest intermediate or largest step joining three or
-more operands, times the block count for each sliced vertex -- exceeds
-the cap.
+same rule, on a chunk of that vertex's blocks at a time.  Every chunk, one
+block or many, is a leading batch axis.  Past the give-up point every
+pair left joins into three or more indices, so from 32 blocks on
+(32**3 = 2**15) the unlimited path cannot fit, greedy does not go on, and
+the program slices.  A configurable cap rejects a program whose size --
+its largest intermediate or largest step joining three or more operands,
+times the block count for each sliced vertex -- exceeds the cap.
 log_density picks one of two routes from the input: when every positive
 term of the density is a normal float64 it takes the log of the float
 contraction; otherwise (constructions drive densities toward 0) it scales
@@ -418,7 +419,7 @@ def _evaluate(plan, factors, weights, tape=None):
     """Run plan's steps on its operand list; each step pops its operands and
     appends its result, and the last result is the contraction.  Given a list
     as tape, for _sweep, each step appends (step, operands popped) to it, and
-    a _Sliced step (step, factors, per chunk (its blocks' index, their
+    a _Sliced step (step, factors, per chunk (its blocks' slice, their
     masses, each part's (value, tape))).
 
     Factors of shape lead + (k,) and weights of shape lead + (k, k) run one
@@ -428,12 +429,14 @@ def _evaluate(plan, factors, weights, tape=None):
     leaves them in place.  np.matmul and the einsum kernels loop over the
     batch, so every contraction has the bits of its own run with lead = ().
     A _Sliced step runs each part's plan once per chunk of the vertex's
-    blocks, the chunk a new leading batch axis in front of lead (none for a
-    chunk of one block): the blocks' masses, each neighbour's factor times
-    the blocks' weight rows, and the other operands broadcast along it.  So each block's term has the bits of
-    a run on that block alone, and the terms are summed block by block, in
-    block order.  _blocks_per_chunk keeps every part's intermediates, batch
-    axes included, within _CHUNK entries.
+    blocks, the chunk a new leading batch axis in front of lead, of length
+    1 for a chunk of one block: the blocks' masses, each neighbour's factor
+    times the blocks' weight rows, and the other operands broadcast along
+    it.  So each block's term has the bits of a run on that block alone,
+    and the terms are summed block by block, in block order.
+    _blocks_per_chunk keeps every part's intermediates, batch axes
+    included, within _CHUNK entries.  Only _contract runs a whole pattern's
+    program; this runs the parts of a sliced one.
     """
     lead = weights.shape[:-2]
     ops = [*factors, *[weights] * plan.edge_count]
@@ -479,9 +482,7 @@ def _evaluate(plan, factors, weights, tape=None):
                 for u, x in enumerate((*ops, weights))
             ]
             for b0 in range(0, len(rows), c):
-                # the chunk's blocks on a new leading batch axis; a chunk of
-                # one block takes none, as an axis of length 1 only costs time
-                blocks = slice(b0, b0 + c) if c > 1 else b0
+                blocks = slice(b0, b0 + c)  # on a new leading batch axis
                 mass = masses[blocks]
                 term, parts = mass, []
                 for vertices, part in step.parts:
@@ -492,7 +493,7 @@ def _evaluate(plan, factors, weights, tape=None):
                     term = term * value
                 if tape is not None:
                     chunks.append((blocks, mass, parts))
-                for block_term in term if c > 1 else [term]:  # in block order
+                for block_term in term:  # in block order
                     r = r + block_term
         ops.append(_keep(r))
     return ops[-1]
@@ -515,9 +516,9 @@ def _sweep(tape, n, weights):
     aligned with [factors..., weights once per edge].  The weight adjoint
     sums the edges' adjoints, each in its edge's (u, v) orientation.
     A _Sliced step sweeps each part's tape once per chunk, as _evaluate ran
-    it, and takes, per block b, the product rule across its parts' recorded
-    values, adding into the adjoints block by block, in block order.  A
-    neighbour's factor there is factors[u] * weights[b], so its adjoint also
+    it, every chunk on its block axis, and takes, per block b, the product
+    rule across its parts' recorded values, adding into the adjoints block
+    by block, in block order.  A neighbour's factor there is factors[u] * weights[b], so its adjoint also
     feeds row b of the weight adjoint (weights is symmetric, as in _evaluate).
     Leading batch axes run through as in _evaluate: the first adjoint is one
     per contraction, and a per-contraction coefficient broadcasts over blocks.
@@ -533,10 +534,6 @@ def _sweep(tape, n, weights):
                 _sweep(part_tape, len(vertices), chunk_weights)
                 for (vertices, _), (_, part_tape) in zip(step.parts, parts)
             ]
-            if type(blocks) is int:  # give a one-block chunk its block's axis
-                mass, values = mass[None], [value[None] for value in values]
-                swept = [([a[None] for a in part], t[None]) for part, t in swept]
-                blocks = slice(blocks, blocks + 1)
             for j, b in enumerate(range(weights.shape[-1])[blocks]):
                 block_values = [value[j] for value in values]
                 adjoints[step.vertex][..., b] += math.prod(block_values)
@@ -578,13 +575,24 @@ def _adjoint_eqs(eq):
     return tuple(eqs)
 
 
-def _program(g, k):
-    """g's contraction program on k blocks, after the checks every caller
-    shares: at most len(_LETTERS) vertices, and a size within the cap."""
+def _contract(g, factors, weights, tape=None):
+    """The contraction of pattern g's tensor network, every vertex summed:
+    the one entry into the engine.
+
+    factors[v] is the vector multiplied in for vertex v (normally the block
+    masses), of shape lead + (k,), and weights has shape lead + (k, k), lead
+    the leading batch axes of a stack of graphons (none for one graphon).
+    Checks that g has at most len(_LETTERS) vertices and that its program
+    on k blocks stays within the cap, then runs it (_evaluate, which fills
+    tape); the result is an array of shape lead, or its 0-d value.  A
+    pattern with no vertices contracts to ones of weights' dtype.
+    """
     nv = g.vertex_count
+    if nv == 0:
+        return np.ones(weights.shape[:-2], weights.dtype)
     if nv > len(_LETTERS):
         raise EnumerationCapError(f"patterns with more than {len(_LETTERS)} vertices unsupported")
-    cap = enumeration_cap()
+    k, cap = weights.shape[-1], enumeration_cap()
     plan = _plan(g, k)
     # every step's index space is at most k**nv, so small patterns always pass
     if plan.size > cap:
@@ -592,36 +600,19 @@ def _program(g, k):
             f"contracting {nv} vertices on {k} blocks takes {plan.size} index "
             f"combinations, over the enumeration cap {cap}"
         )
-    return plan
-
-
-def _contract(g, vertex_factors, weights):
-    """Contract the density tensor network of pattern g to a scalar.
-
-    vertex_factors[v] is the length-k vector multiplied in for vertex v
-    (normally the block masses).
-    """
-    if g.vertex_count == 0:
-        return 1.0
-    plan = _program(g, weights.shape[0])
-    # item() keeps integer counts exact: Python ints from object operands
-    return _evaluate(plan, vertex_factors, weights).item()
+    return _evaluate(plan, factors, weights, tape)
 
 
 def hom_count(g, target):
     """Exact number of edge-preserving vertex maps V(g) -> V(target)."""
     if not isinstance(target, Graph):
         raise DomainError("hom_count target must be a Graph")
-    if g.vertex_count == 0:
-        return 1
     n = target.vertex_count
-    if n == 0:
-        return 0
-    if n**g.vertex_count < 2**63:  # n**|V(g)| bounds every intermediate count
-        ones = np.ones(n, dtype=np.int64)
-        return _contract(g, [ones] * g.vertex_count, target.adjacency())
-    ones = np.ones(n, dtype=object)
-    return _contract(g, [ones] * g.vertex_count, target.adjacency().astype(object))
+    # n**|V(g)| bounds every intermediate count; past int64, Python ints
+    dtype = np.int64 if n**g.vertex_count < 2**63 else object
+    ones = np.ones(n, dtype)
+    # item() keeps integer counts exact: Python ints from object operands
+    return _contract(g, [ones] * g.vertex_count, target.adjacency().astype(dtype)).item()
 
 
 def _as_integers(x):
@@ -639,8 +630,9 @@ def density(g, w):
 
 def _in_range(t):
     """Contraction t as a density: float noise past [0, 1] clamped, beyond it
-    raises.  An array of contractions is checked and clamped entrywise."""
-    if type(t) is np.ndarray:
+    raises.  An array of contractions is checked and clamped entrywise; a
+    single one, 0-d array or scalar, becomes a Python float."""
+    if type(t) is np.ndarray and t.ndim:
         inside = ((-_CLAMP_TOL <= t) & (t <= 1.0 + _CLAMP_TOL)).all()  # NaN is not
     else:
         t = float(t)
@@ -667,7 +659,7 @@ def log_density(g, w):
         return math.log(t) if t > 0.0 else -math.inf
     e_m, masses = _as_integers(w.masses)
     e_w, weights = _as_integers(w.weights)
-    count = _contract(g, [masses] * g.vertex_count, weights)
+    count = _contract(g, [masses] * g.vertex_count, weights).item()
     if count == 0:
         return -math.inf
     return math.log(count) - (g.vertex_count * e_m + g.edge_count * e_w) * math.log(2)

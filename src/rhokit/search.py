@@ -5,6 +5,8 @@ rho(G,H).  The optimizer is multi-start projected gradient ascent over the
 block masses (probability simplex with a floor) and the symmetric weight
 matrix (entries clipped to [0,1]).  One run of a pattern's contraction program
 gives its density, and one reverse sweep of the run's tape its gradient.
+Every run goes through density._contract, the engine's one entry, over a
+stack of graphons at once: the starts of a block count ascend in lockstep.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _evaluate, _in_range, _program, _sweep, json_number
+from .density import _contract, _in_range, _sweep, json_number
 from .errors import DiscrepancyError, DomainError
 from .graphs import WeightedGraph, _check_blocks, as_graph
 from .verify import PROFILES, sample_weighted_graph
@@ -34,22 +36,15 @@ def density_gradient(g, w):
     return _swept(g, w.masses, w.weights)[1:]
 
 
-def _densities(g, masses, weights, tape=None):
-    """t(g, W) for each graphon W of a stack, masses of shape lead + (k,) and
-    weights lead + (k, k), from one batched run of g's program; each value
-    bit-identical to density(g, W)."""
-    plan = _program(g, weights.shape[-1])
-    return _in_range(_evaluate(plan, [masses] * g.vertex_count, weights, tape))
-
-
 def _swept(g, masses, weights):
-    """(t(g, W), d/d masses, d/d weights) for each graphon W of a stack, as
-    _densities takes it, from one batched run of g's program and one reverse
-    sweep of the run's tape."""
+    """(t(g, W), d/d masses, d/d weights) for each graphon W of a stack,
+    masses of shape lead + (k,) and weights lead + (k, k), from one batched
+    run of g's program and one reverse sweep of the run's tape; each t
+    bit-identical to density(g, W)."""
     if g.vertex_count == 0:
         return np.ones(weights.shape[:-2]), np.zeros_like(masses), np.zeros_like(weights)
     tape = []
-    t = _densities(g, masses, weights, tape)
+    t = _in_range(_contract(g, [masses] * g.vertex_count, weights, tape=tape))
     factors, total = _sweep(tape, g.vertex_count, weights)
     # the diagonal counted once; total is finite and nonnegative, so its
     # product with the identity is its diagonal matrix, +0.0 off it
@@ -161,11 +156,12 @@ def _ratios(g, h, masses, weights, margin):
     log t(H,W) / log t(G,W), the float ratio_objective returns, or None
     when W is infeasible: a list, from one batched run of G's program and
     one of H's over the graphons with t(G,W) in range."""
-    tg = _densities(g, masses, weights)
+    tg = _in_range(_contract(g, [masses] * g.vertex_count, weights))
     feasible = (0.0 < tg) & (tg <= 1.0 - margin)
     th = np.zeros_like(tg)
     if feasible.any():
-        th[feasible] = _densities(h, masses[feasible], weights[feasible])
+        m, w = masses[feasible], weights[feasible]
+        th[feasible] = _in_range(_contract(h, [m] * h.vertex_count, w))
     feasible &= th > 0.0
     return [
         math.log(b) / math.log(a) if ok else None

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +183,40 @@ class TestJunit:
         assert names == set(SUITES)
         for el in root:
             assert el.get("failures") == "0"
+
+
+# tests/data/verify_golden.json holds the reports of run_all_suites(200, 1),
+# the suites `rhokit verify --trials 200 --seed 1` prints.  Regenerate it with
+# `PYTHONPATH=src python tests/test_verifier.py` after a deliberate change to
+# the verifier or the density engine, and say which reports moved.
+VERIFY_GOLDEN_FILE = Path(__file__).parent / "data" / "verify_golden.json"
+
+
+def golden_reports():
+    return [report.to_json() for report in run_all_suites(200, 1)]
+
+
+def assert_residual_close(have, want, where):
+    # within 1e-12 absolute, as BLAS may round differently on another
+    # machine and several residuals sit at -4.4e-16; null (nothing evaluated,
+    # or -inf) stays null
+    assert (have is None) == (want is None), where
+    assert want is None or abs(have - want) <= 1e-12, where
+
+
+def test_verify_matches_golden_file():
+    expected = json.loads(VERIFY_GOLDEN_FILE.read_text())
+    got = golden_reports()
+    assert [r["suite"] for r in got] == [r["suite"] for r in expected]
+    for want, have in zip(expected, got):
+        where = want["suite"]
+        assert_residual_close(have.pop("min_residual"), want.pop("min_residual"), where)
+        assert len(have["failures"]) == len(want["failures"]), where
+        for have_failure, want_failure in zip(have["failures"], want["failures"]):
+            assert_residual_close(have_failure.pop("residual"), want_failure.pop("residual"), where)
+        # counts, descriptions and passed exactly
+        assert have == want, where
+
+
+if __name__ == "__main__":
+    VERIFY_GOLDEN_FILE.write_text(json.dumps(golden_reports(), indent=1) + "\n")

@@ -11,9 +11,7 @@ plan-level cache (the programs and the per-pattern replays they are filled
 in from).  Printed as JSON: per set, the best time in milliseconds and the
 number of greedy-path replays one more, untimed, cold build runs: calls of
 _replay_from, one per pattern replayed and one per continuation past
-greedy's give-up point.  A checkout without _replay_from ran each such
-continuation as a _replay of the whole pattern, so there the count is
-_replay's cache misses (null for a checkout without _replay).
+greedy's give-up point.
 """
 
 import importlib
@@ -44,11 +42,8 @@ def partitions(total, max_parts, cap=None):
                 yield (first, *rest)
 
 
-# every plan-level cache; checkouts older than the per-pattern replay have
-# only _plan, so this script still times them
-PLAN_CACHES = [
-    getattr(density_module, name) for name in ("_plan", "_replay") if hasattr(density_module, name)
-]
+# every plan-level cache
+PLAN_CACHES = [density_module._plan, density_module._replay]
 
 CRITERION_8 = [(multipartite(p), k) for p in partitions(10, 5) for k in (2, 3)]
 
@@ -65,11 +60,7 @@ def build(programs):
 
 def cold_replays(programs):
     """Greedy-path replays one cold build of programs runs."""
-    replay_from = getattr(density_module, "_replay_from", None)
-    if replay_from is None:
-        build(programs)
-        replay = getattr(density_module, "_replay", None)
-        return replay and replay.cache_info().misses
+    replay_from = density_module._replay_from
     calls = []
 
     def counted(*args):

@@ -4,12 +4,12 @@ the sliced programs of K4 and K5 on many blocks.
     PYTHONPATH=src python tools/slice_threshold.py
 
 Point PYTHONPATH at another checkout's src to time that checkout (it needs
-_replay's leftover operands, _replay_from and density._slice).  When greedy
-finds no pair under its size limit, its path ends in one step joining every
-operand left.  From _SLICE_AT index combinations on, _plan goes on past
-that point from the operands the join takes, by greedy without the size
-limit, and slices a vertex where that path's largest intermediate or
-give-up join reaches _SLICE_AT entries too.
+_replay's leftover operands, _replay_from, density._slice and
+_blocks_per_chunk).  When greedy finds no pair under its size limit, its
+path ends in one step joining every operand left.  From _SLICE_AT index
+combinations on, _plan goes on past that point from the operands the join
+takes, by greedy without the size limit, and slices a vertex where that
+path's largest intermediate or give-up join reaches _SLICE_AT entries too.
 The cases are K4, K[2,2,2], K[3,4] and K[4,4] on 2-24 blocks wherever
 greedy's path ends in such a join of fewer than 2**20 combinations.  Per
 case three programs are timed on one random graphon: the naive join
@@ -26,8 +26,7 @@ One JSON object is printed, times in milliseconds:
 - sliced: K4 and K5 on the block counts of perfbench's density_large
   workload (32-80) and on 128, where _plan slices: per case sliced_ms and
   blocks_per_chunk, how many of the sliced vertex's blocks one run of the
-  rest of the pattern takes on one graphon (1 on a checkout that runs one
-  block at a time); and their total sliced_ms.
+  rest of the pattern takes on one graphon; and their total sliced_ms.
 - slice_at: the checkout's _SLICE_AT.
 """
 
@@ -85,13 +84,6 @@ def run_ms(plan, g, w, repeats=3, target_s=0.02):
     return best * 1000
 
 
-def blocks_per_chunk(plan):
-    """Blocks of the sliced vertex that one run of the rest takes at once."""
-    if not hasattr(density_module, "_blocks_per_chunk"):
-        return 1
-    return density_module._blocks_per_chunk(plan.steps[0], 1)
-
-
 if __name__ == "__main__":
     cases, totals = [], dict.fromkeys((*PROGRAMS, "picked"), 0.0)
     for spec in PATTERNS:
@@ -117,7 +109,8 @@ if __name__ == "__main__":
         g, w = parse_graph_spec(spec), random_graphon(k, seed=k)
         plan = density_module._plan(g, k)
         case = {"pattern": spec, "blocks": k, "sliced_ms": run_ms(plan, g, w)}
-        sliced.append({**case, "blocks_per_chunk": blocks_per_chunk(plan)})
+        case["blocks_per_chunk"] = density_module._blocks_per_chunk(plan.steps[0], 1)
+        sliced.append(case)
     print(json.dumps({
         "cases": cases,
         "totals_ms": totals,
