@@ -6,7 +6,8 @@ Provenance tags emitted by the dispatcher:
 
 * ``identity``                  -- G and H isomorphic
 * ``edgeless-target``           -- H has no edges (density is 1, exponent 0)
-* ``infinite-no-hom``           -- hom(H,G)=0, exponent infinite
+* ``infinite-no-hom``           -- hom(H,G)=0, exponent infinite: H has an odd
+  cycle and G is bipartite, or a hom count of two non-bipartite graphs is 0
 * ``complete-kruskal-katona``   -- complete vs complete
 * ``paths-exact`` / ``paths-open``      -- path vs path
 * ``even-cycles-spectral``      -- long cycle vs even cycle
@@ -45,6 +46,7 @@ from .graphs import (
     as_multipartite,
     as_path,
     as_star,
+    is_bipartite,
     is_paw,
     parse_graph_spec,
 )
@@ -161,10 +163,24 @@ def majorization_chain(a, b):
 
 
 def finiteness(g, h):
-    """rho(G,H) is finite exactly when hom(H,G) > 0.  G must be nonempty."""
+    """rho(G,H) is finite exactly when hom(H,G) > 0.  G must have an edge.
+
+    Bipartiteness settles most pairs without counting:
+
+    * a bipartite H maps onto any edge uv of G (one side to u, the other
+      to v), so hom(H,G) > 0;
+    * an H with an odd cycle has no map into a bipartite G, whose closed
+      walks all have even length, so hom(H,G) = 0.
+
+    Only when both have an odd cycle is hom(H,G) counted.
+    """
     g, h = as_graph(g), as_graph(h)
     if g.edge_count == 0:
         raise DomainError("rho(G,H) requires G to have at least one edge")
+    if is_bipartite(h):
+        return True
+    if is_bipartite(g):
+        return False
     return hom_count(h, g) > 0
 
 
@@ -448,7 +464,7 @@ def _rho_base(g, h, compose):
         return _exact(Fraction(0), "edgeless-target")
     if _isomorphic(g, h):
         return _exact(Fraction(1), "identity")
-    if hom_count(h, g) == 0:
+    if not finiteness(g, h):
         return RhoResult("infinite", provenance=("infinite-no-hom",))
 
     # the first exact branch result wins, else the first result; the

@@ -740,8 +740,10 @@ def _pow00(base, expo):
     return base**expo
 
 
+@functools.lru_cache(maxsize=1024)
 def delta_index(g, i, vertex_cap=20):
-    """max over subsets S of |S| - i*|N(S)| (empty set contributes 0)."""
+    """max over subsets S of |S| - i*|N(S)| (empty set contributes 0).
+    Cached per graph, like independence_number; errors are not cached."""
     if i < 1:
         raise DomainError("i must be a positive integer")
     n = g.vertex_count
@@ -760,8 +762,10 @@ def delta_index(g, i, vertex_cap=20):
     return best
 
 
+@functools.lru_cache(maxsize=1024)
 def independence_number(g, vertex_cap=24):
-    """Size of the largest independent set (branch and bound)."""
+    """Size of the largest independent set (branch and bound), cached per
+    graph."""
     n = g.vertex_count
     if n > vertex_cap:
         raise EnumerationCapError(f"{n} vertices exceed the independence cap {vertex_cap}")

@@ -23,6 +23,7 @@ reproducible):
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import math
 import operator
@@ -90,19 +91,26 @@ class Graph:
             a[u, v] = a[v, u] = 1
         return a
 
+    # The structural facts below are cached per graph, and equal graphs share
+    # an entry: each parsed spec is a fresh Graph.  Cached values are
+    # read-only (tuples and frozensets).
+
+    @functools.lru_cache(maxsize=1024)
     def neighbor_sets(self):
-        """A fresh neighbour set per vertex; degrees() and neighbors(v) read it."""
+        """The neighbour set of each vertex, as a tuple of frozensets;
+        degrees() and neighbors(v) read it."""
         nbrs = [set() for _ in range(self.vertex_count)]
         for u, v in self.edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return nbrs
+        return tuple(map(frozenset, nbrs))
 
     def is_connected(self):
         return len(self.components()) <= 1
 
+    @functools.lru_cache(maxsize=1024)
     def components(self):
-        """Connected components, as sorted vertex lists."""
+        """Connected components, as a tuple of sorted vertex tuples."""
         nbrs = self.neighbor_sets()
         seen = set()
         comps = []
@@ -117,8 +125,8 @@ class Graph:
                     comp.add(w)
                     stack.append(w)
             seen |= comp
-            comps.append(sorted(comp))
-        return comps
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
     def induced(self, vertices):
         """The subgraph induced on a vertex list, relabelled in list order."""
@@ -245,9 +253,32 @@ def disjoint_union(g1, g2):
 
 # ---------------------------------------------------------------------------
 # structure recognition (used by the rho catalog): each test reads edge
-# counts, degrees or neighbour sets, never a complement graph
+# counts, degrees or neighbour sets, never a complement graph.  The tests the
+# catalog repeats for the same graphs are cached like Graph's facts.
 
 
+@functools.lru_cache(maxsize=1024)
+def is_bipartite(g):
+    """True iff g has no odd cycle: a breadth-first 2-colouring never puts
+    both ends of an edge on one side."""
+    nbrs = g.neighbor_sets()
+    side = [None] * g.vertex_count
+    for root in range(g.vertex_count):
+        if side[root] is not None:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in nbrs[u]:
+                if side[w] is None:
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
+
+
+@functools.lru_cache(maxsize=1024)
 def as_path(g):
     """Return m if g is the path on m >= 1 edges, else None."""
     if g.vertex_count < 2 or g.edge_count != g.vertex_count - 1:
@@ -258,6 +289,7 @@ def as_path(g):
     return g.edge_count
 
 
+@functools.lru_cache(maxsize=1024)
 def as_cycle(g):
     """Return m if g is the cycle on m >= 3 edges, else None."""
     if g.vertex_count < 3 or g.edge_count != g.vertex_count:
@@ -274,6 +306,7 @@ def as_complete(g):
     return None
 
 
+@functools.lru_cache(maxsize=1024)
 def as_multipartite(g):
     """Return the part sizes (nonincreasing) if g is complete multipartite, else None.
 
@@ -282,12 +315,13 @@ def as_multipartite(g):
     and its parts are those classes.  No vertex of a class N is in N (g has
     no loops), so the rule holds when |N| plus the class size is |V|.
     """
-    classes = Counter(map(frozenset, g.neighbor_sets()))
+    classes = Counter(g.neighbor_sets())
     if any(len(nbrs) + size != g.vertex_count for nbrs, size in classes.items()):
         return None
     return tuple(sorted(classes.values(), reverse=True))
 
 
+@functools.lru_cache(maxsize=1024)
 def as_star(g):
     """Return t if g is K_{1,t}, t >= 1, else None."""
     parts = as_multipartite(g)
@@ -326,6 +360,7 @@ def as_hub(g, clique_size):
     return None
 
 
+@functools.lru_cache(maxsize=1024)
 def is_paw(g):
     if g.vertex_count != 4 or g.edge_count != 4:
         return False

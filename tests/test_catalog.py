@@ -22,6 +22,7 @@ from rhokit import (
     cycle,
     finiteness,
     general_lower_bounds,
+    hom_count,
     majorization_chain,
     majorizes,
     multipartite,
@@ -31,7 +32,7 @@ from rhokit import (
     rho_exact,
 )
 from rhokit.catalog import RhoResult, _isomorphic, _rho_base
-from rhokit.graphs import Graph
+from rhokit.graphs import Graph, is_bipartite
 
 # the module, not a function of the package
 catalog_module = importlib.import_module("rhokit.catalog")
@@ -80,6 +81,31 @@ class TestFinitenessAndBounds:
         with pytest.raises(DomainError):
             finiteness("3xK1" if False else parse_graph_spec("2xK1"), "K2")
 
+    def test_bipartiteness_rule_on_small_graphs(self):
+        # every pair of graphs on at most 4 vertices, up to isomorphism,
+        # where G has an edge
+        nx = pytest.importorskip("networkx")
+        atlas = [a for a in nx.graph_atlas_g() if a.number_of_nodes() <= 4]
+        graphs = [Graph.from_edges(a.number_of_nodes(), a.edges()) for a in atlas]
+        assert len(graphs) == 19
+        for g in graphs:
+            if g.edge_count:
+                for h in graphs:
+                    assert finiteness(g, h) == (hom_count(h, g) > 0), (g, h)
+
+    def test_cold_grid_counts_only_odd_pairs(self, monkeypatch):
+        calls = []
+
+        def counted(h, g):
+            calls.append((h, g))
+            return hom_count(h, g)
+
+        monkeypatch.setattr(catalog_module, "hom_count", counted)
+        _rho_base.cache_clear()
+        rho_grid()
+        assert calls and all(not is_bipartite(h) and not is_bipartite(g) for h, g in calls)
+        assert len(calls) <= 24  # 236 before bipartiteness settled finiteness
+
     def test_general_lower_bounds(self):
         # edges ratio dominates for (P1, P2); vertices ratio for (K3, K2)... etc.
         assert general_lower_bounds("P1", "P2") == Fraction(2)
@@ -113,6 +139,20 @@ def test_blowup_upper_matches_oracle(nh, keep_h, ng, keep_g):
     h = Graph.from_edges(nh, [e for e, k in zip(itertools.combinations(range(nh), 2), keep_h) if k])
     g = Graph.from_edges(ng, [e for e, k in zip(itertools.combinations(range(ng), 2), keep_g) if k])
     assert blowup_upper_bound(g, h) == blowup_oracle(g, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.lists(st.booleans(), min_size=21, max_size=21),
+    st.integers(min_value=2, max_value=7),
+    st.lists(st.booleans(), min_size=21, max_size=21),
+)
+def test_bipartiteness_rule_matches_hom_count(nh, keep_h, ng, keep_g):
+    h = Graph.from_edges(nh, [e for e, k in zip(itertools.combinations(range(nh), 2), keep_h) if k])
+    g_edges = [e for e, k in zip(itertools.combinations(range(ng), 2), keep_g) if k]
+    g = Graph.from_edges(ng, g_edges or [(0, 1)])
+    assert finiteness(g, h) == (hom_count(h, g) > 0)
 
 
 class TestRhoResult:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rhokit import (
     DomainError,
+    EnumerationCapError,
     Graph,
     GraphSpecError,
     WeightedGraph,
@@ -18,6 +19,7 @@ from rhokit import (
     cycle_tail,
     disjoint_union,
     hub,
+    independence_number,
     multipartite,
     parse_graph_spec,
     part_sizes,
@@ -32,6 +34,7 @@ from rhokit.graphs import (
     as_multipartite,
     as_path,
     as_star,
+    is_bipartite,
     is_paw,
     parse_count,
 )
@@ -181,6 +184,40 @@ class TestRecognizers:
         assert is_paw(paw())
         assert is_paw(parse_graph_spec("paw"))
         assert not is_paw(star(3))
+
+    def test_bipartite_recognizer(self):
+        assert is_bipartite(Graph.from_edges(0, []))
+        assert is_bipartite(cycle(6))
+        assert is_bipartite(disjoint_union(path(3), multipartite([2, 3])))
+        assert not is_bipartite(cycle(5))
+        assert not is_bipartite(disjoint_union(path(2), paw()))
+
+
+class TestCachedFacts:
+    """Each graph's facts are cached, read-only and shared by equal graphs."""
+
+    def test_neighbor_sets_are_read_only(self):
+        nbrs = star(3).neighbor_sets()
+        with pytest.raises(AttributeError):
+            nbrs[0].add(7)
+        with pytest.raises(TypeError):
+            nbrs[0] = frozenset()
+        assert star(3).neighbor_sets()[0] == {1, 2, 3}
+        assert star(3).components() == ((0, 1, 2, 3),)
+
+    def test_equal_graphs_share_an_entry(self):
+        as_cycle.cache_clear()
+        assert as_cycle(cycle(5)) == as_cycle(parse_graph_spec("C5")) == 5
+        info = as_cycle.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert cycle(5).neighbor_sets() is parse_graph_spec("C5").neighbor_sets()
+
+    def test_errors_are_not_cached(self):
+        g = Graph.from_edges(25, [])
+        for _ in range(3):
+            with pytest.raises(EnumerationCapError, match="independence cap 24"):
+                independence_number(g)
+        assert independence_number(g, vertex_cap=25) == 25
 
 
 class TestSpecLanguage:

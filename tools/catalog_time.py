@@ -5,8 +5,10 @@
 Point PYTHONPATH at another checkout's src to time that checkout.  Two grids
 of (G, H) pairs are run: the 100 pairs of perfbench's catalog workload (10
 specs) and the 676 pairs of the 26 specs of tests/data/rho_grid_26.json.
-Each grid is run 5 times, each time after clearing the catalog's results
-(_rho_base) and every plan-level cache (density._plan and _replay).  Printed
+Each grid is run 5 times, each time after clearing every functools cache
+that rhokit's modules and Graph hold: the catalog's results (_rho_base), the
+plan-level caches (density._plan and _replay), and each graph's cached facts
+(neighbour sets, components, recognisers, independence numbers).  Printed
 as JSON: per grid, the best time in milliseconds and the number of calls
 one more cold run makes to each of CALLS (_rho_base counts the runs of its
 body, that is its cache misses; a name a checkout does not have reads null).
@@ -37,9 +39,11 @@ CALLS = [
     (density_module, "hom_count"),
 ]
 
-CACHES = [catalog_module._rho_base] + [
-    getattr(density_module, name) for name in ("_plan", "_replay") if hasattr(density_module, name)
-]
+# each cache once, though catalog imports some of density's and graphs'
+NAMESPACES = [vars(m) for m in (catalog_module, density_module, graphs_module, graphs_module.Graph)]
+CACHES = list(
+    dict.fromkeys(fn for ns in NAMESPACES for fn in ns.values() if hasattr(fn, "cache_clear"))
+)
 
 
 def cold_pass(specs):
