@@ -212,39 +212,73 @@ def blowup_upper_bound(g, h, budget=2_000_000):
 def _least_blowup(h, g, bound, candidates, budget):
     """Branch and bound for the least prod_v max(1, |phi^-1(v)|) below
     ``bound`` over homomorphisms phi: H -> G with phi(u) in candidates[u].
-    The product never falls as a map extends, so a partial map is cut once
-    it reaches the best so far.  None when there is no such map or when more
-    than ``budget`` candidates were tried."""
+    None when there is no such map or when more than ``budget`` candidates
+    were tried.
+
+    H's vertices are placed in breadth-first order.  At each node the images
+    its placed neighbours allow, the common neighbours in G of their images,
+    are worked out once; every candidate still counts against the budget.
+
+    Two cuts drop a partial map:
+
+    * the product never falls as a map extends, so a map whose product
+      reaches the best so far is cut;
+    * the pigeonhole cut.  Let r of H's vertices be left to place, f of G's
+      vertices carry no load and ``top`` be the largest load.  A vertex put
+      on an unused vertex of G adds nothing to the product, so at least
+      ``extra`` = r - f of the rest land on loaded vertices.  Raising loads
+      l_i by a_i, with sum a_i = extra, multiplies the product by
+      prod (1 + a_i / l_i) >= 1 + sum a_i / l_i >= (top + extra) / top: the
+      excess all on the most-loaded vertex grows it least.  So a map of
+      product ``grown`` ends at no less than grown * (top + extra) / top,
+      and is cut once grown * (top + extra) >= best * top.  Neither
+      adjacency nor the candidate lists enter the bound, which only makes
+      it lower, so the cut never drops the least map.
+    """
     h_nbrs, g_nbrs = h.neighbor_sets(), g.neighbor_sets()
     order = _bfs_order(h_nbrs)
+    n = len(order)
     back = [h_nbrs[v] & set(order[:i]) for i, v in enumerate(order)]  # placed neighbours
+    everywhere = frozenset(range(g.vertex_count))
     image = [None] * h.vertex_count
     load = [0] * g.vertex_count
     best = bound
     tried = 0
 
-    def extend(i, prod):  # False once the budget is spent
+    def extend(i, prod, free, top):  # False once the budget is spent
         nonlocal best, tried
-        if i == len(order):
+        if i == n:
             best = prod
             return True
         v = order[i]
+        allowed = everywhere
+        for u in back[i]:
+            allowed = allowed & g_nbrs[image[u]]
+        # the pigeonhole's extra and largest load once v is placed: extra is
+        # one more, and the largest load fresh, when v lands on an unused vertex
+        excess = n - 1 - i - free
+        fresh = top or 1
         for w in candidates[v]:
             tried += 1
             if tried > budget:
                 return False
-            grown = prod // load[w] * (load[w] + 1) if load[w] else prod
-            if grown >= best or any(image[u] not in g_nbrs[w] for u in back[i]):
+            held = load[w]
+            if held:
+                grown = prod // held * (held + 1)
+                peak, extra = (top if top > held else held + 1), excess
+            else:
+                grown, peak, extra = prod, fresh, excess + 1
+            if grown >= best or w not in allowed or grown * (peak + extra) >= best * peak:
                 continue
             image[v] = w
-            load[w] += 1
-            done = extend(i + 1, grown)
-            load[w] -= 1
+            load[w] = held + 1
+            done = extend(i + 1, grown, free if held else free - 1, peak)
+            load[w] = held
             if not done:
                 return False
         return True
 
-    return best if extend(0, 1) and best < bound else None
+    return best if extend(0, 1, g.vertex_count, 0) and best < bound else None
 
 
 def _bfs_order(nbrs):
@@ -456,44 +490,62 @@ _BRANCHES = (
 _INTERMEDIATES = tuple(map(parse_graph_spec, "K2 P2 P3 P4 K3 C4 C5 C6 S3".split()))
 
 
-@functools.lru_cache(maxsize=1024)
-def _rho_base(g, h, compose):
+_OPEN = ("interval", "unknown")
+
+
+@functools.lru_cache(maxsize=4096)
+def _rho_stage(g, h):
+    """The lookup of (G, H) short of the composition scan, run once per pair
+    for both of _rho_base's modes: the winning result, tightened when it is
+    open by the universal lower bound and the blowup search, and the other
+    branches' tags in branch order."""
     if g.edge_count == 0:
         raise DomainError("rho(G,H) requires G to have at least one edge")
     if h.edge_count == 0:
-        return _exact(Fraction(0), "edgeless-target")
+        return _exact(Fraction(0), "edgeless-target"), ()
     if _isomorphic(g, h):
-        return _exact(Fraction(1), "identity")
+        return _exact(Fraction(1), "identity"), ()
     if not finiteness(g, h):
-        return RhoResult("infinite", provenance=("infinite-no-hom",))
+        return RhoResult("infinite", provenance=("infinite-no-hom",)), ()
 
-    # the first exact branch result wins, else the first result; the
-    # others' tags follow the winner's, in branch order
+    # the first exact branch result wins, else the first result
     results = [res for res in (branch(g, h) for branch in _BRANCHES) if res is not None]
     if not results:
         results = [RhoResult("unknown", provenance=("construction-lower",))]
     winner = results.pop(next((i for i, r in enumerate(results) if r.status == "exact"), 0))
+    if winner.status in _OPEN:
+        winner = _tighten(g, h, winner)
+    return winner, tuple(t for res in results for t in res.provenance)
 
-    if winner.status in ("interval", "unknown"):
-        winner = _tighten(g, h, winner, compose)
-        if winner.lower == winner.upper:
-            # both ends are theorems, so a closed bracket is the value
-            winner = RhoResult("exact", value=winner.lower, provenance=winner.provenance)
 
-    # each tag once, where it first appears
-    tags = dict.fromkeys(winner.provenance + tuple(t for res in results for t in res.provenance))
-    return RhoResult(winner.status, winner.value, winner.lower, winner.upper, tuple(tags))
+@functools.lru_cache(maxsize=4096)
+def _rho_base(g, h, compose):
+    """rho(G, H) from _rho_stage, with the composition scan on top when
+    ``compose`` is set and the bracket is still open.  A bracket whose ends
+    meet is exact, since both ends are theorems.  Tags: the winner's, then
+    the blowup and composition tags, then the other branches', each once
+    where it first appears."""
+    res, others = _rho_stage(g, h)
+    if res.status in _OPEN:
+        if compose and res.lower != res.upper:
+            res = _compose(g, h, res)
+        if res.lower == res.upper:
+            res = RhoResult("exact", value=res.lower, provenance=res.provenance)
+    tags = dict.fromkeys(res.provenance + others)
+    return RhoResult(res.status, res.value, res.lower, res.upper, tuple(tags))
 
 
 def _upper_of(res):
     if res.status == "exact":
         return res.value
-    if res.status in ("interval", "unknown"):
+    if res.status in _OPEN:
         return res.upper
     return None
 
 
-def _tighten(g, h, res, compose):
+def _tighten(g, h, res):
+    """An open result with the universal lower bound and the blowup upper
+    bound applied."""
     glb = general_lower_bounds(g, h)
     lower = glb if res.lower is None else max(res.lower, glb)
     upper = res.upper
@@ -505,21 +557,26 @@ def _tighten(g, h, res, compose):
     elif (upper is None or bub < upper) and bub >= lower:
         upper = bub
         tags.append("blowup-upper")
-
-    if compose:
-        for mid in _INTERMEDIATES:
-            if _isomorphic(mid, g) or _isomorphic(mid, h):
-                continue
-            u1 = _upper_of(_rho_base(g, mid, compose=False))
-            u2 = _upper_of(_rho_base(mid, h, compose=False))
-            if u1 is None or u2 is None:
-                continue
-            cand = u1 * u2
-            if (upper is None or cand < upper) and cand >= lower:
-                upper = cand
-                tags.append("composition-upper")
-
     return RhoResult(res.status, res.value, lower, upper, tuple(tags))
+
+
+def _compose(g, h, res):
+    """An open result with the composition upper bound
+    rho(G,H) <= rho(G,J) * rho(J,H) applied over the intermediates J."""
+    upper = res.upper
+    tags = list(res.provenance)
+    for mid in _INTERMEDIATES:
+        if _isomorphic(mid, g) or _isomorphic(mid, h):
+            continue
+        u1 = _upper_of(_rho_base(g, mid, compose=False))
+        u2 = _upper_of(_rho_base(mid, h, compose=False))
+        if u1 is None or u2 is None:
+            continue
+        cand = u1 * u2
+        if (upper is None or cand < upper) and cand >= res.lower:
+            upper = cand
+            tags.append("composition-upper")
+    return RhoResult(res.status, res.value, res.lower, upper, tuple(tags))
 
 
 def rho_exact(g_spec, h_spec):

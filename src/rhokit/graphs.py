@@ -383,9 +383,20 @@ def parse_graph_spec(text):
     ``Khub[a1,...]``, ``Gtail[k,l]``, ``paw``, ``<n>x<spec>`` (disjoint
     copies), ``@file.edges`` (first line vertex count, remaining lines
     0-indexed edges).
+
+    A string is parsed once: later calls return the same (immutable) Graph.
+    A spec that names a file is read again on every call, since the file
+    may change, and a spec that fails raises afresh each time.
     """
     if not isinstance(text, str):
         raise GraphSpecError("graph spec must be a string")
+    if "@" in text:
+        return _parse_spec.__wrapped__(text)
+    return _parse_spec(text)
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_spec(text):
     stripped = text.strip()
     if not stripped:
         raise GraphSpecError("empty graph spec", text, 0)

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,11 +33,26 @@ from rhokit import (
     path,
     rho_exact,
 )
-from rhokit.catalog import RhoResult, _isomorphic, _rho_base
-from rhokit.graphs import Graph, is_bipartite
+from rhokit.catalog import RhoResult, _isomorphic, _rho_base, _rho_stage
+from rhokit.graphs import Graph, _parse_spec, is_bipartite
 
 # the module, not a function of the package
 catalog_module = importlib.import_module("rhokit.catalog")
+
+
+def cold_catalog():
+    """Clear the catalog's per-pair caches, so the next lookups run cold."""
+    _rho_base.cache_clear()
+    _rho_stage.cache_clear()
+
+
+def catalog_time():
+    """tools/catalog_time.py as a module; its timing runs only as a script."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "catalog_time.py"
+    spec = importlib.util.spec_from_file_location("catalog_time", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestMajorization:
@@ -101,7 +118,7 @@ class TestFinitenessAndBounds:
             return hom_count(h, g)
 
         monkeypatch.setattr(catalog_module, "hom_count", counted)
-        _rho_base.cache_clear()
+        cold_catalog()
         rho_grid()
         assert calls and all(not is_bipartite(h) and not is_bipartite(g) for h, g in calls)
         assert len(calls) <= 24  # 236 before bipartiteness settled finiteness
@@ -122,6 +139,12 @@ class TestFinitenessAndBounds:
         # the least split of the 10 vertices over K5 is 5, 2, 1, 1, 1: one
         # vertex of K5 takes every other vertex of H
         assert blowup_upper_bound("K5", h) == Fraction(10)
+
+    @pytest.mark.parametrize("g,h,value", [("K6", "P12", 14), ("K4", "P8", 10)])
+    def test_pigeonhole_cut_ends_the_search(self, g, h, value):
+        # K6/P12 spent the whole budget before the cut: 7 vertices of P12 on
+        # one vertex of K6 and the other 6 on 2, 1, 1, 1, 1
+        assert blowup_upper_bound(g, h) == Fraction(value)
 
     def test_blowup_budget_spent(self):
         assert blowup_upper_bound("K3", "C4", budget=0) is None
@@ -293,7 +316,7 @@ class TestCatalog:
         monkeypatch.setattr(
             catalog_module, "general_lower_bounds", lambda g, h: calls.append((g, h))
         )
-        _rho_base.cache_clear()
+        cold_catalog()
         assert rho_exact("K3", "K2").status == "exact"
         assert calls == []
 
@@ -306,18 +329,18 @@ class TestCatalog:
 
         monkeypatch.setattr(catalog_module, "parse_graph_spec", parse)
         monkeypatch.setattr("rhokit.graphs.parse_graph_spec", parse)
-        _rho_base.cache_clear()
+        cold_catalog()
         res = _rho_base(parse_graph_spec("C3"), parse_graph_spec("C4"), compose=True)
-        # an interval, so _tighten ran its composition scan
+        # an interval, so _compose ran its composition scan
         assert (res.status, res.lower, res.upper) == ("interval", Fraction(3, 2), Fraction(8, 5))
         assert calls == []
 
     def test_spent_blowup_budget_is_tagged(self):
-        # the blowup search gives up on K6/P12; composition still closes it
-        res = rho_exact("K6", "P12")
+        # the blowup search gives up on K6/P16; composition still closes it
+        res = rho_exact("K6", "P16")
         assert "blowup-budget-exhausted" in res.provenance
         assert "blowup-upper" not in res.provenance
-        assert res.status == "exact" and res.value == Fraction(12, 5)
+        assert res.status == "exact" and res.value == Fraction(16, 5)
 
 
 # The benchmark's catalog spec grid; tests/data/rho_grid.json holds
@@ -355,6 +378,33 @@ def test_rho_grid_matches_golden_file():
 
 def test_rho_grid_26_matches_golden_file():
     check_grid(GRID_26_FILE, GRID_26_SPECS)
+
+
+@pytest.mark.parametrize("specs,hom_pairs", [(GRID_SPECS, 19), (GRID_26_SPECS, 90)])
+def test_cold_pass_does_each_piece_once(specs, hom_pairs, monkeypatch):
+    # a cold pass as tools/catalog_time.py times it: both compose modes share
+    # one blowup search and one finiteness test per pair, and each spec
+    # string is parsed once
+    tool = catalog_time()
+    assert {_rho_base, _rho_stage, _parse_spec} <= set(tool.CACHES)
+    searched, counted = Counter(), Counter()
+    blowup, hom = catalog_module.blowup_upper_bound, catalog_module.hom_count
+
+    def blowup_counted(g, h):
+        searched[g, h] += 1
+        return blowup(g, h)
+
+    def hom_counted(h, g):
+        counted[h, g] += 1
+        return hom(h, g)
+
+    monkeypatch.setattr(catalog_module, "blowup_upper_bound", blowup_counted)
+    monkeypatch.setattr(catalog_module, "hom_count", hom_counted)
+    tool.cold_pass(specs)
+    assert searched and set(searched.values()) == {1}
+    assert counted and set(counted.values()) == {1}
+    assert len(counted) == hom_pairs
+    assert _parse_spec.cache_info().misses == len(specs)
 
 
 CUBIC_16_A = [

@@ -242,6 +242,26 @@ class TestSpecLanguage:
         g = parse_graph_spec(f"@{f}")
         assert as_path(g) == 3
 
+    def test_a_string_is_parsed_once(self):
+        assert parse_graph_spec("Khub[1,1,1]") is parse_graph_spec("Khub[1,1,1]")
+
+    def test_edge_file_is_read_on_every_call(self, tmp_path):
+        f = tmp_path / "g.edges"
+        f.write_text("4\n0 1\n1 2\n2 3\n")
+        assert as_path(parse_graph_spec(f"@{f}")) == 3
+        f.write_text("3\n0 1\n1 2\n0 2\n")
+        assert as_cycle(parse_graph_spec(f"@{f}")) == 3
+        assert parse_graph_spec(f"2x@{f}").edge_count == 6
+        f.write_text("2\n0 1\n")
+        assert parse_graph_spec(f"2x@{f}").edge_count == 2
+
+    @pytest.mark.parametrize("bad,position", [("P(", 1), ("  K[]", 4), ("2xQ7", 2)])
+    def test_error_is_raised_afresh_on_every_call(self, bad, position):
+        for _ in range(3):
+            with pytest.raises(GraphSpecError) as exc:
+                parse_graph_spec(bad)
+            assert exc.value.position == position
+
     @pytest.mark.parametrize(
         "bad", ["", "  ", "P0", "C2", "Q7", "K[]", "0xP1", "P(", "paws", "K[0]", "Gtail[0,1]"]
     )

@@ -6,12 +6,16 @@ Point PYTHONPATH at another checkout's src to time that checkout.  Two grids
 of (G, H) pairs are run: the 100 pairs of perfbench's catalog workload (10
 specs) and the 676 pairs of the 26 specs of tests/data/rho_grid_26.json.
 Each grid is run 5 times, each time after clearing every functools cache
-that rhokit's modules and Graph hold: the catalog's results (_rho_base), the
-plan-level caches (density._plan and _replay), and each graph's cached facts
-(neighbour sets, components, recognisers, independence numbers).  Printed
-as JSON: per grid, the best time in milliseconds and the number of calls
-one more cold run makes to each of CALLS (_rho_base counts the runs of its
-body, that is its cache misses; a name a checkout does not have reads null).
+that rhokit's modules and Graph hold: the catalog's results (_rho_base and
+the per-pair stage under it, _rho_stage), the parsed specs
+(graphs._parse_spec), the plan-level caches (density._plan and _replay),
+and each graph's cached facts (neighbour sets, components, recognisers,
+independence numbers).  Printed as JSON: per grid, the best time in
+milliseconds and the number of calls one more cold run makes to each of
+CALLS.  Where a checkout caches a function, its count is the cache's misses,
+that is the runs of its body: _rho_base and _rho_stage always, and
+parse_graph_spec through _parse_spec.  A name a checkout does not have reads
+null.
 """
 
 import importlib
@@ -35,9 +39,17 @@ CALLS = [
     (graphs_module, "parse_graph_spec"),
     (graphs_module, "as_multipartite"),
     (catalog_module, "general_lower_bounds"),
+    (catalog_module, "blowup_upper_bound"),
     (density_module, "independence_number"),
     (density_module, "hom_count"),
 ]
+
+# count name: (module, cache) whose misses stand for the runs of a body
+MISSES = {
+    "_rho_base": (catalog_module, "_rho_base"),
+    "_rho_stage": (catalog_module, "_rho_stage"),
+    "parse_graph_spec": (graphs_module, "_parse_spec"),
+}
 
 # each cache once, though catalog imports some of density's and graphs'
 NAMESPACES = [vars(m) for m in (catalog_module, density_module, graphs_module, graphs_module.Graph)]
@@ -64,9 +76,10 @@ def best_ms(specs, repeats=5):
 
 
 def call_counts(specs):
-    """Calls of each of CALLS, and _rho_base's misses, in one cold pass."""
+    """Calls of each of CALLS, and the misses of the caches in MISSES, in
+    one cold pass."""
     modules = [catalog_module, density_module, graphs_module]
-    counts = {"_rho_base": None}
+    counts = dict.fromkeys(MISSES)
     originals = []
     for owner, name in CALLS:
         fn = getattr(owner, name, None)
@@ -84,7 +97,10 @@ def call_counts(specs):
                 setattr(module, name, counted)
     try:
         cold_pass(specs)
-        counts["_rho_base"] = catalog_module._rho_base.cache_info().misses
+        for name, (owner, cached) in MISSES.items():
+            fn = getattr(owner, cached, None)
+            if fn is not None:
+                counts[name] = fn.cache_info().misses
     finally:
         for module, name, fn in originals:
             setattr(module, name, fn)
