@@ -22,17 +22,19 @@ Provenance tags emitted by the dispatcher:
 * ``construction-lower`` / ``blowup-upper`` / ``composition-upper``
 * ``blowup-budget-exhausted``   -- the blowup search ran out of its budget
 
-Each branch gives only the bracket ends its own theorem proves; the
-universal construction lower bound is applied once, where an ``interval``
-or ``unknown`` bracket is tightened.  Every bracket end is a theorem, so a
-bracket whose ends meet is ``exact``.
+Each branch gives only the bracket ends its own theorem proves.  A pair's
+own lookup (_rho_stage, cached per pair) runs the branches, then tightens an
+``interval`` or ``unknown`` bracket with the universal construction lower
+bound and the blowup search.  rho_exact runs the composition scan on top of
+it, reading only other pairs' own lookups; its result is not cached.  Every
+bracket end is a theorem, so a bracket whose ends meet is ``exact``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .density import delta_index, hom_count, independence_number, json_number
@@ -72,11 +74,17 @@ class RhoResult:
             object.__setattr__(self, "lower", math.inf)
             object.__setattr__(self, "upper", None)
         if (
-            self.status == "interval"
+            self.status in ("interval", "unknown")
             and None not in (self.lower, self.upper)
             and self.lower > self.upper
         ):
-            raise DomainError(f"interval lower {self.lower} > upper {self.upper}")
+            raise DomainError(f"{self.status} lower {self.lower} > upper {self.upper}")
+        if (
+            self.status == "conjectured"
+            and None not in (self.value, self.lower)
+            and self.value < self.lower
+        ):
+            raise DomainError(f"conjectured value {self.value} < lower {self.lower}")
         object.__setattr__(self, "provenance", tuple(self.provenance))
 
     def to_json(self):
@@ -495,10 +503,11 @@ _OPEN = ("interval", "unknown")
 
 @functools.lru_cache(maxsize=4096)
 def _rho_stage(g, h):
-    """The lookup of (G, H) short of the composition scan, run once per pair
-    for both of _rho_base's modes: the winning result, tightened when it is
-    open by the universal lower bound and the blowup search, and the other
-    branches' tags in branch order."""
+    """The lookup of (G, H) itself, run once per pair: the winning branch
+    result, tightened when it is open by the universal lower bound and the
+    blowup search, and the other branches' tags in branch order.  The
+    composition scan in rho_exact reads other pairs through this, never
+    through their own composition, so no lookup recurses into itself."""
     if g.edge_count == 0:
         raise DomainError("rho(G,H) requires G to have at least one edge")
     if h.edge_count == 0:
@@ -514,72 +523,61 @@ def _rho_stage(g, h):
         results = [RhoResult("unknown", provenance=("construction-lower",))]
     winner = results.pop(next((i for i, r in enumerate(results) if r.status == "exact"), 0))
     if winner.status in _OPEN:
-        winner = _tighten(g, h, winner)
+        glb = general_lower_bounds(g, h)
+        lower = glb if winner.lower is None else max(winner.lower, glb)
+        winner = _tighten(replace(winner, lower=lower), _blowup_uppers(g, h))
     return winner, tuple(t for res in results for t in res.provenance)
 
 
-@functools.lru_cache(maxsize=4096)
-def _rho_base(g, h, compose):
-    """rho(G, H) from _rho_stage, with the composition scan on top when
-    ``compose`` is set and the bracket is still open.  A bracket whose ends
-    meet is exact, since both ends are theorems.  Tags: the winner's, then
-    the blowup and composition tags, then the other branches', each once
-    where it first appears."""
-    res, others = _rho_stage(g, h)
-    if res.status in _OPEN:
-        if compose and res.lower != res.upper:
-            res = _compose(g, h, res)
-        if res.lower == res.upper:
-            res = RhoResult("exact", value=res.lower, provenance=res.provenance)
-    tags = dict.fromkeys(res.provenance + others)
-    return RhoResult(res.status, res.value, res.lower, res.upper, tuple(tags))
+def _tighten(res, candidates):
+    """An open result with each (upper end, tag) candidate applied in turn.
+    A candidate is accepted, with its tag, when it lowers the upper end and
+    stays at or above the lower end; a candidate of None adds its tag alone.
+    Repeated tags are left for rho_exact to drop."""
+    upper, tags = res.upper, list(res.provenance)
+    for cand, tag in candidates:
+        if cand is None:
+            tags.append(tag)
+        elif (upper is None or cand < upper) and cand >= res.lower:
+            upper = cand
+            tags.append(tag)
+    return RhoResult(res.status, res.value, res.lower, upper, tuple(tags))
 
 
-def _upper_of(res):
-    if res.status == "exact":
-        return res.value
-    if res.status in _OPEN:
-        return res.upper
-    return None
-
-
-def _tighten(g, h, res):
-    """An open result with the universal lower bound and the blowup upper
-    bound applied."""
-    glb = general_lower_bounds(g, h)
-    lower = glb if res.lower is None else max(res.lower, glb)
-    upper = res.upper
-    tags = list(res.provenance)  # _rho_base drops repeats
-
+def _blowup_uppers(g, h):
+    """The blowup search's upper end.  hom(H,G) > 0 wherever it runs, so
+    None means only that the search spent its budget."""
     bub = blowup_upper_bound(g, h)
-    if bub is None:
-        tags.append("blowup-budget-exhausted")  # hom(H,G) > 0 here
-    elif (upper is None or bub < upper) and bub >= lower:
-        upper = bub
-        tags.append("blowup-upper")
-    return RhoResult(res.status, res.value, lower, upper, tuple(tags))
+    yield bub, "blowup-budget-exhausted" if bub is None else "blowup-upper"
 
 
-def _compose(g, h, res):
-    """An open result with the composition upper bound
-    rho(G,H) <= rho(G,J) * rho(J,H) applied over the intermediates J."""
-    upper = res.upper
-    tags = list(res.provenance)
+def _composition_uppers(g, h):
+    """The composition upper ends rho(G,H) <= rho(G,J) * rho(J,H) over the
+    intermediates J, each factor the upper end of that pair's own lookup."""
     for mid in _INTERMEDIATES:
         if _isomorphic(mid, g) or _isomorphic(mid, h):
             continue
-        u1 = _upper_of(_rho_base(g, mid, compose=False))
-        u2 = _upper_of(_rho_base(mid, h, compose=False))
-        if u1 is None or u2 is None:
-            continue
-        cand = u1 * u2
-        if (upper is None or cand < upper) and cand >= res.lower:
-            upper = cand
-            tags.append("composition-upper")
-    return RhoResult(res.status, res.value, res.lower, upper, tuple(tags))
+        u1 = _rho_stage(g, mid)[0].upper
+        u2 = _rho_stage(mid, h)[0].upper
+        if u1 is not None and u2 is not None:
+            yield u1 * u2, "composition-upper"
 
 
 def rho_exact(g_spec, h_spec):
     """Catalog lookup: dispatch (G,H) over the known graph families and
-    return the best known value, bracket or conjecture with provenance."""
-    return _rho_base(as_graph(g_spec), as_graph(h_spec), compose=True)
+    return the best known value, bracket or conjecture with provenance.
+
+    The pair's own lookup comes from _rho_stage; a bracket still open with
+    distinct ends then gets the composition scan.  A bracket whose ends meet
+    is exact, since both ends are theorems.  Tags: the winner's, then the
+    blowup and composition tags, then the other branches', each once where
+    it first appears."""
+    g, h = as_graph(g_spec), as_graph(h_spec)
+    res, others = _rho_stage(g, h)
+    if res.status in _OPEN:
+        if res.lower != res.upper:
+            res = _tighten(res, _composition_uppers(g, h))
+        if res.lower == res.upper:
+            res = RhoResult("exact", value=res.lower, provenance=res.provenance)
+    tags = dict.fromkeys(res.provenance + others)
+    return RhoResult(res.status, res.value, res.lower, res.upper, tuple(tags))

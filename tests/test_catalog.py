@@ -33,7 +33,7 @@ from rhokit import (
     path,
     rho_exact,
 )
-from rhokit.catalog import RhoResult, _isomorphic, _rho_base, _rho_stage
+from rhokit.catalog import RhoResult, _isomorphic, _rho_stage
 from rhokit.graphs import Graph, _parse_spec, is_bipartite
 
 # the module, not a function of the package
@@ -41,8 +41,7 @@ catalog_module = importlib.import_module("rhokit.catalog")
 
 
 def cold_catalog():
-    """Clear the catalog's per-pair caches, so the next lookups run cold."""
-    _rho_base.cache_clear()
+    """Clear the catalog's per-pair cache, so the next lookups run cold."""
     _rho_stage.cache_clear()
 
 
@@ -187,6 +186,22 @@ class TestRhoResult:
         with pytest.raises(DomainError):
             RhoResult("interval", lower=Fraction(2), upper=Fraction(1))
 
+    @pytest.mark.parametrize(
+        "status,value,lower,upper",
+        [("unknown", None, 2, 1), ("conjectured", 1, 2, None)],
+    )
+    def test_open_bracket_order_checked(self, status, value, lower, upper):
+        with pytest.raises(DomainError):
+            RhoResult(status, value, lower, upper)
+
+    @pytest.mark.parametrize(
+        "status,value,lower,upper",
+        [("unknown", None, 1, 1), ("unknown", None, 2, None), ("conjectured", 2, 2, None)],
+    )
+    def test_open_bracket_may_meet(self, status, value, lower, upper):
+        r = RhoResult(status, value, lower, upper)
+        assert (r.value, r.lower, r.upper) == (value, lower, upper)
+
     def test_json_rationals(self):
         j = RhoResult("exact", value=Fraction(8, 5)).to_json()
         assert j["value"] == 1.6
@@ -290,16 +305,23 @@ class TestCatalog:
         assert res.upper <= Fraction(1)
 
     def test_composition_can_tighten(self):
-        # star targets beyond the exact cases keep a finite certified upper
-        res = rho_exact("C4", "C6")
-        assert res.status == "interval"
-        assert res.upper is not None
+        # the pair's own lookup stops at the blowup's upper end; composition
+        # through an intermediate lowers it, and on P3/K[2,3] meets the lower end
+        for g, h, stage_upper, status, upper in (
+            ("K2", "3xK2", 9, "unknown", 6),
+            ("P3", "K[2,3]", 3, "exact", 2),
+        ):
+            stage, _ = _rho_stage(parse_graph_spec(g), parse_graph_spec(h))
+            res = rho_exact(g, h)
+            assert stage.upper == stage_upper > res.upper == upper, (g, h)
+            assert res.status == status
+            assert "composition-upper" in res.provenance
 
     def test_composition_subquery_is_cache_hit(self):
         rho_exact("C4", "C6")  # an interval, so the composition scan asks rho(C4, P4)
-        before = _rho_base.cache_info()
-        _rho_base(parse_graph_spec("C4"), parse_graph_spec("P4"), compose=False)
-        after = _rho_base.cache_info()
+        before = _rho_stage.cache_info()
+        _rho_stage(parse_graph_spec("C4"), parse_graph_spec("P4"))
+        after = _rho_stage.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     @pytest.mark.parametrize(
@@ -330,8 +352,8 @@ class TestCatalog:
         monkeypatch.setattr(catalog_module, "parse_graph_spec", parse)
         monkeypatch.setattr("rhokit.graphs.parse_graph_spec", parse)
         cold_catalog()
-        res = _rho_base(parse_graph_spec("C3"), parse_graph_spec("C4"), compose=True)
-        # an interval, so _compose ran its composition scan
+        res = rho_exact(parse_graph_spec("C3"), parse_graph_spec("C4"))
+        # an interval, so rho_exact ran its composition scan
         assert (res.status, res.lower, res.upper) == ("interval", Fraction(3, 2), Fraction(8, 5))
         assert calls == []
 
@@ -380,13 +402,29 @@ def test_rho_grid_26_matches_golden_file():
     check_grid(GRID_26_FILE, GRID_26_SPECS)
 
 
+def relabelled(spec, rng):
+    g = parse_graph_spec(spec)
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_relabelling_keeps_every_grid_result():
+    # a relabelled graph is a new cache key, so each pair is looked up again
+    rng = random.Random(7)
+    for g, h in itertools.product(GRID_SPECS, repeat=2):
+        want = rho_exact(g, h).to_json()
+        assert rho_exact(relabelled(g, rng), relabelled(h, rng)).to_json() == want, (g, h)
+
+
 @pytest.mark.parametrize("specs,hom_pairs", [(GRID_SPECS, 19), (GRID_26_SPECS, 90)])
 def test_cold_pass_does_each_piece_once(specs, hom_pairs, monkeypatch):
-    # a cold pass as tools/catalog_time.py times it: both compose modes share
-    # one blowup search and one finiteness test per pair, and each spec
-    # string is parsed once
+    # a cold pass as tools/catalog_time.py times it: each pair's own lookup,
+    # read by its top-level lookup and by composition scans alike, runs one
+    # blowup search and one finiteness test, and each spec string is parsed
+    # once
     tool = catalog_time()
-    assert {_rho_base, _rho_stage, _parse_spec} <= set(tool.CACHES)
+    assert {_rho_stage, _parse_spec} <= set(tool.CACHES)
     searched, counted = Counter(), Counter()
     blowup, hom = catalog_module.blowup_upper_bound, catalog_module.hom_count
 

@@ -1,4 +1,5 @@
-"""Time catalog dispatch (catalog.rho_exact) from a cold cache.
+"""Time catalog dispatch (catalog.rho_exact) from a cold cache, and measure
+how far its brackets are from closing.
 
     PYTHONPATH=src python tools/catalog_time.py
 
@@ -6,21 +7,27 @@ Point PYTHONPATH at another checkout's src to time that checkout.  Two grids
 of (G, H) pairs are run: the 100 pairs of perfbench's catalog workload (10
 specs) and the 676 pairs of the 26 specs of tests/data/rho_grid_26.json.
 Each grid is run 5 times, each time after clearing every functools cache
-that rhokit's modules and Graph hold: the catalog's results (_rho_base and
-the per-pair stage under it, _rho_stage), the parsed specs
+that rhokit's modules and Graph hold: each pair's own lookup
+(catalog._rho_stage), the parsed specs
 (graphs._parse_spec), the plan-level caches (density._plan and _replay),
 and each graph's cached facts (neighbour sets, components, recognisers,
 independence numbers).  Printed as JSON: per grid, the best time in
 milliseconds and the number of calls one more cold run makes to each of
 CALLS.  Where a checkout caches a function, its count is the cache's misses,
-that is the runs of its body: _rho_base and _rho_stage always, and
-parse_graph_spec through _parse_spec.  A name a checkout does not have reads
-null.
+that is the runs of its body: _rho_stage always, and parse_graph_spec
+through _parse_spec.  A name a checkout does not have reads null.
+
+Per grid it also prints the brackets: the count of each status, the open
+pairs (interval or unknown), the width (the sum of log2(upper/lower) over
+open pairs with a finite upper end) and the open pairs with no finite upper
+end.  A catalog change that closes or narrows brackets lowers the width.
 """
 
 import importlib
 import json
+import math
 import time
+from collections import Counter
 
 # the modules, not the functions rhokit.density and rhokit.catalog
 catalog_module = importlib.import_module("rhokit.catalog")
@@ -46,7 +53,6 @@ CALLS = [
 
 # count name: (module, cache) whose misses stand for the runs of a body
 MISSES = {
-    "_rho_base": (catalog_module, "_rho_base"),
     "_rho_stage": (catalog_module, "_rho_stage"),
     "parse_graph_spec": (graphs_module, "_parse_spec"),
 }
@@ -107,10 +113,25 @@ def call_counts(specs):
     return counts
 
 
+def brackets(specs):
+    """Status counts, open pairs, width and open pairs with no finite upper
+    end over the grid's results."""
+    results = [catalog_module.rho_exact(g, h) for g in specs for h in specs]
+    report = dict.fromkeys(catalog_module.STATUSES, 0)
+    report.update(Counter(res.status for res in results))
+    open_pairs = [res for res in results if res.status in catalog_module._OPEN]
+    bounded = [res for res in open_pairs if res.upper is not None]
+    report["open"] = len(open_pairs)
+    report["width"] = round(sum(math.log2(res.upper / res.lower) for res in bounded), 2)
+    report["open_no_upper"] = len(open_pairs) - len(bounded)
+    return report
+
+
 if __name__ == "__main__":
     assert len(GRID_10) == 10 and len(GRID_26) == 26
     report = {}
     for name, specs in (("grid_10", GRID_10), ("grid_26", GRID_26)):
         report[f"{name}_ms"] = best_ms(specs)
         report[f"{name}_calls"] = call_counts(specs)
+        report[f"{name}_brackets"] = brackets(specs)
     print(json.dumps(report))
