@@ -242,8 +242,18 @@ def _least_blowup(h, g, bound, candidates, budget):
       and is cut once grown * (top + extra) >= best * top.  Neither
       adjacency nor the candidate lists enter the bound, which only makes
       it lower, so the cut never drops the least map.
+
+    The twin rule skips a candidate: an unused w is passed over while an
+    earlier twin of w in G (Graph.earlier_twins) is unused too.  Swapping
+    the two is an automorphism of G that fixes the partial map, so it
+    carries each completion through w to one through the twin with the same
+    loads, and the least product is unchanged.  The least unused vertex of a
+    class of twins is never passed over.  The rule needs each candidate list
+    to be closed under twins, so that the twin is a candidate wherever w is;
+    degree classes and ``range`` both are.
     """
     h_nbrs, g_nbrs = h.neighbor_sets(), g.neighbor_sets()
+    twins = g.earlier_twins()
     order = _bfs_order(h_nbrs)
     n = len(order)
     back = [h_nbrs[v] & set(order[:i]) for i, v in enumerate(order)]  # placed neighbours
@@ -274,6 +284,8 @@ def _least_blowup(h, g, bound, candidates, budget):
             if held:
                 grown = prod // held * (held + 1)
                 peak, extra = (top if top > held else held + 1), excess
+            elif twins[w] and not all(load[t] for t in twins[w]):
+                continue
             else:
                 grown, peak, extra = prod, fresh, excess + 1
             if grown >= best or w not in allowed or grown * (peak + extra) >= best * peak:
@@ -316,20 +328,15 @@ def _isomorphic(g, h):
         return False
     if g.edges == h.edges:
         return True
-    g_nbrs, h_nbrs = g.neighbor_sets(), h.neighbor_sets()
-    g_col, h_col = _colours(g_nbrs), _colours(h_nbrs)
-    if sorted(g_col) != sorted(h_col):
+    g_deg, h_deg = g.degrees(), h.degrees()
+    if sorted(g_deg) != sorted(h_deg):
         return False
-    # with equal vertex and edge counts, an injective homomorphism (product
-    # 1) is an isomorphism
-    same_colour = [[w for w in range(h.vertex_count) if h_col[w] == c] for c in g_col]
-    return _least_blowup(g, h, 2, same_colour, math.inf) is not None
-
-
-def _colours(nbrs):
-    """A vertex's colour: its degree and the sorted degrees of its neighbours."""
-    deg = [len(n) for n in nbrs]
-    return [(deg[v], sorted(deg[u] for u in n)) for v, n in enumerate(nbrs)]
+    # an isomorphism keeps degrees, and with equal vertex and edge counts an
+    # injective homomorphism (product 1) is an isomorphism
+    classes = {}
+    for w, d in enumerate(h_deg):
+        classes.setdefault(d, []).append(w)
+    return _least_blowup(g, h, 2, [classes[d] for d in g_deg], math.inf) is not None
 
 
 def _exact(value, *tags):
@@ -553,10 +560,12 @@ def _blowup_uppers(g, h):
 
 def _composition_uppers(g, h):
     """The composition upper ends rho(G,H) <= rho(G,J) * rho(J,H) over the
-    intermediates J, each factor the upper end of that pair's own lookup."""
+    intermediates J, each factor the upper end of that pair's own lookup.
+    Through a J isomorphic to G or to H the product is the pair's own upper
+    end, since lookups do not depend on labels apart from the blowup budget,
+    and _tighten rejects it; where a budget does differ, the product is
+    still a proven bound."""
     for mid in _INTERMEDIATES:
-        if _isomorphic(mid, g) or _isomorphic(mid, h):
-            continue
         u1 = _rho_stage(g, mid)[0].upper
         u2 = _rho_stage(mid, h)[0].upper
         if u1 is not None and u2 is not None:

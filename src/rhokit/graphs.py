@@ -128,6 +128,21 @@ class Graph:
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
+    @functools.lru_cache(maxsize=1024)
+    def earlier_twins(self):
+        """For each vertex, the smaller vertices that are its twins: two
+        vertices are twins when their neighbour sets agree apart from each
+        other, so swapping them is an automorphism."""
+        nbrs = self.neighbor_sets()
+        return tuple(
+            tuple(
+                u
+                for u in range(v)
+                if len(nbrs[u]) == len(nbrs[v]) and nbrs[u] - {v} == nbrs[v] - {u}
+            )
+            for v in range(self.vertex_count)
+        )
+
     def induced(self, vertices):
         """The subgraph induced on a vertex list, relabelled in list order."""
         index = {v: i for i, v in enumerate(vertices)}

@@ -145,6 +145,14 @@ class TestFinitenessAndBounds:
         # one vertex of K6 and the other 6 on 2, 1, 1, 1, 1
         assert blowup_upper_bound(g, h) == Fraction(value)
 
+    @pytest.mark.parametrize("g,h,value", [("K6", "P16", 36), ("K[3,3]", "P22", 90)])
+    def test_twin_rule_ends_the_search(self, g, h, value):
+        # every vertex of K6 is a twin of every other, and K[3,3]'s sides are
+        # classes of twins: both spent the whole budget before the twin rule
+        start = time.perf_counter()
+        assert blowup_upper_bound(g, h) == Fraction(value)
+        assert time.perf_counter() - start < 0.5
+
     def test_blowup_budget_spent(self):
         assert blowup_upper_bound("K3", "C4", budget=0) is None
         assert blowup_upper_bound("K3", "C4") == Fraction(2)
@@ -357,9 +365,21 @@ class TestCatalog:
         assert (res.status, res.lower, res.upper) == ("interval", Fraction(3, 2), Fraction(8, 5))
         assert calls == []
 
-    def test_spent_blowup_budget_is_tagged(self):
-        # the blowup search gives up on K6/P16; composition still closes it
-        res = rho_exact("K6", "P16")
+    def test_spent_blowup_budget_is_tagged(self, monkeypatch):
+        # with no budget the blowup search gives up on K6/P16; composition,
+        # through other pairs searched in full, still closes it
+        blowup = catalog_module.blowup_upper_bound
+        pair = parse_graph_spec("K6"), parse_graph_spec("P16")
+
+        def spent(g, h):
+            return blowup(g, h, 0) if (g, h) == pair else blowup(g, h)
+
+        monkeypatch.setattr(catalog_module, "blowup_upper_bound", spent)
+        cold_catalog()
+        try:
+            res = rho_exact("K6", "P16")
+        finally:
+            cold_catalog()  # drop the lookups made without a budget
         assert "blowup-budget-exhausted" in res.provenance
         assert "blowup-upper" not in res.provenance
         assert res.status == "exact" and res.value == Fraction(16, 5)
@@ -417,12 +437,17 @@ def test_relabelling_keeps_every_grid_result():
         assert rho_exact(relabelled(g, rng), relabelled(h, rng)).to_json() == want, (g, h)
 
 
+# a cold pass's _isomorphic and _least_blowup calls, per grid
+COLD_PASS_SEARCHES = {GRID_SPECS: (190, 70), GRID_26_SPECS: (676, 269)}
+
+
 @pytest.mark.parametrize("specs,hom_pairs", [(GRID_SPECS, 19), (GRID_26_SPECS, 90)])
 def test_cold_pass_does_each_piece_once(specs, hom_pairs, monkeypatch):
     # a cold pass as tools/catalog_time.py times it: each pair's own lookup,
     # read by its top-level lookup and by composition scans alike, runs one
-    # blowup search and one finiteness test, and each spec string is parsed
-    # once
+    # blowup search, one finiteness test and one isomorphism test, and each
+    # spec string is parsed once.  _least_blowup runs for each blowup search
+    # and for each isomorphism test that gets as far as a map search.
     tool = catalog_time()
     assert {_rho_stage, _parse_spec} <= set(tool.CACHES)
     searched, counted = Counter(), Counter()
@@ -438,7 +463,9 @@ def test_cold_pass_does_each_piece_once(specs, hom_pairs, monkeypatch):
 
     monkeypatch.setattr(catalog_module, "blowup_upper_bound", blowup_counted)
     monkeypatch.setattr(catalog_module, "hom_count", hom_counted)
-    tool.cold_pass(specs)
+    calls = tool.call_counts(specs)
+    assert calls["_isomorphic"] == calls["_rho_stage"]
+    assert (calls["_isomorphic"], calls["_least_blowup"]) == COLD_PASS_SEARCHES[specs]
     assert searched and set(searched.values()) == {1}
     assert counted and set(counted.values()) == {1}
     assert len(counted) == hom_pairs
@@ -498,6 +525,27 @@ class TestIsomorphism:
         assert _isomorphic(a, a.relabel(perm)) and _isomorphic(a.relabel(perm), a)
         assert not _isomorphic(a, b) and not _isomorphic(b, a)
         assert not _isomorphic(c40, c20s) and not _isomorphic(c20s, c40)
+        assert time.perf_counter() - start < 0.5
+
+    def test_graphs_full_of_twins(self):
+        # a windmill's triangles are swapped by automorphisms, K[3,3]'s sides
+        # and 10xK2's edges are classes of twins; the prism has the degrees
+        # of K[3,3] and no twins
+        def windmill(blades):
+            tips = [(2 * i + 1, 2 * i + 2) for i in range(blades)]
+            return Graph.from_edges(2 * blades + 1, tips + [(0, v) for e in tips for v in e])
+
+        prism = Graph.from_edges(
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+        )
+        rng = random.Random(3)
+        start = time.perf_counter()
+        for g in (windmill(6), windmill(8), parse_graph_spec("K[3,3]"), parse_graph_spec("10xK2")):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            assert _isomorphic(g, g.relabel(perm)) and _isomorphic(g.relabel(perm), g)
+        k33 = parse_graph_spec("K[3,3]")
+        assert not _isomorphic(k33, prism) and not _isomorphic(prism, k33)
         assert time.perf_counter() - start < 0.5
 
     def test_import_leaves_networkx_out(self):

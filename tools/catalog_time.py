@@ -47,6 +47,8 @@ CALLS = [
     (graphs_module, "as_multipartite"),
     (catalog_module, "general_lower_bounds"),
     (catalog_module, "blowup_upper_bound"),
+    (catalog_module, "_isomorphic"),
+    (catalog_module, "_least_blowup"),
     (density_module, "independence_number"),
     (density_module, "hom_count"),
 ]
