@@ -223,9 +223,10 @@ def _least_blowup(h, g, bound, candidates, budget):
     None when there is no such map or when more than ``budget`` candidates
     were tried.
 
-    H's vertices are placed in breadth-first order.  At each node the images
-    its placed neighbours allow, the common neighbours in G of their images,
-    are worked out once; every candidate still counts against the budget.
+    H's vertices are placed in breadth-first order (Graph.breadth_first).  At
+    each node the images its placed neighbours allow, the common neighbours
+    in G of their images, are worked out once; every candidate still counts
+    against the budget.
 
     Two cuts drop a partial map:
 
@@ -254,7 +255,7 @@ def _least_blowup(h, g, bound, candidates, budget):
     """
     h_nbrs, g_nbrs = h.neighbor_sets(), g.neighbor_sets()
     twins = g.earlier_twins()
-    order = _bfs_order(h_nbrs)
+    order = h.breadth_first()[0]
     n = len(order)
     back = [h_nbrs[v] & set(order[:i]) for i, v in enumerate(order)]  # placed neighbours
     everywhere = frozenset(range(g.vertex_count))
@@ -299,24 +300,6 @@ def _least_blowup(h, g, bound, candidates, budget):
         return True
 
     return best if extend(0, 1, g.vertex_count, 0) and best < bound else None
-
-
-def _bfs_order(nbrs):
-    order = []
-    seen = set()
-    for root in range(len(nbrs)):
-        if root in seen:
-            continue
-        queue = [root]
-        seen.add(root)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in sorted(nbrs[v]):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,8 @@ class Graph:
 
     # The structural facts below are cached per graph, and equal graphs share
     # an entry: each parsed spec is a fresh Graph.  Cached values are
-    # read-only (tuples and frozensets).
+    # read-only (tuples and frozensets).  breadth_first is the one traversal
+    # of a graph; components and is_bipartite read it.
 
     @functools.lru_cache(maxsize=1024)
     def neighbor_sets(self):
@@ -109,24 +110,37 @@ class Graph:
         return len(self.components()) <= 1
 
     @functools.lru_cache(maxsize=1024)
-    def components(self):
-        """Connected components, as a tuple of sorted vertex tuples."""
+    def breadth_first(self):
+        """One breadth-first search over the whole graph: the vertex order,
+        and each vertex's (component root, depth parity), both as tuples.
+
+        Each component starts at its lowest vertex, and a vertex's unvisited
+        neighbours join the queue in increasing order; the blowup search
+        places a pattern's vertices in this order, and its budget depends on
+        it.  components() and is_bipartite read the roots and parities."""
         nbrs = self.neighbor_sets()
-        seen = set()
-        comps = []
-        for v in range(self.vertex_count):
-            if v in seen:
+        order, place = [], [None] * self.vertex_count
+        for root in range(self.vertex_count):
+            if place[root] is not None:
                 continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in nbrs[u] - comp:
-                    comp.add(w)
-                    stack.append(w)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+            place[root] = (root, 0)
+            queue = [root]
+            for v in queue:
+                for w in sorted(nbrs[v]):
+                    if place[w] is None:
+                        place[w] = (root, 1 - place[v][1])
+                        queue.append(w)
+            order += queue
+        return tuple(order), tuple(place)
+
+    @functools.lru_cache(maxsize=1024)
+    def components(self):
+        """Connected components, as sorted vertex tuples in the order of
+        their lowest vertices: the vertices of each breadth_first() root."""
+        groups = {}
+        for v, (root, _) in enumerate(self.breadth_first()[1]):
+            groups.setdefault(root, []).append(v)
+        return tuple(map(tuple, groups.values()))
 
     @functools.lru_cache(maxsize=1024)
     def earlier_twins(self):
@@ -268,29 +282,16 @@ def disjoint_union(g1, g2):
 
 # ---------------------------------------------------------------------------
 # structure recognition (used by the rho catalog): each test reads edge
-# counts, degrees or neighbour sets, never a complement graph.  The tests the
-# catalog repeats for the same graphs are cached like Graph's facts.
+# counts, degrees, neighbour sets or the breadth-first search, never a
+# complement graph, and none enumerates vertex subsets.  The tests the catalog
+# repeats for the same graphs are cached like Graph's facts.
 
 
-@functools.lru_cache(maxsize=1024)
 def is_bipartite(g):
-    """True iff g has no odd cycle: a breadth-first 2-colouring never puts
-    both ends of an edge on one side."""
-    nbrs = g.neighbor_sets()
-    side = [None] * g.vertex_count
-    for root in range(g.vertex_count):
-        if side[root] is not None:
-            continue
-        side[root] = 0
-        queue = [root]
-        for u in queue:
-            for w in nbrs[u]:
-                if side[w] is None:
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return False
-    return True
+    """True iff g has no odd cycle: no edge joins two vertices of the same
+    depth parity in Graph.breadth_first (both ends of an edge share a root)."""
+    place = g.breadth_first()[1]
+    return all(place[u][1] != place[v][1] for u, v in g.edges)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -349,30 +350,32 @@ def as_hub(g, clique_size):
     """Return the pendant-count vector a if g is K'_a with a central clique
     of clique_size vertices (plus, for each clique vertex i, a_i pendants
     adjacent to the clique minus i), else None.
+
+    A hub on n clique vertices and p pendants has C(n,2) + p(n - 1) edges.
+    With that count, the n vertices of highest degree are taken as the
+    clique, and each other vertex must have exactly n - 1 neighbours, all
+    among them: the edge count then leaves C(n,2) edges inside the n, which
+    are a clique.  A pendant has degree n - 1 and a clique vertex at least
+    that, so if g is a hub, its top n vertices by degree are the clique, or
+    the clique with its one vertex i of degree n - 1 traded for a pendant.
+    Every pendant then misses i, so i is a twin of each pendant, and the
+    trade gives the same pendant counts up to order.
     """
     n = clique_size
     n_total = g.vertex_count
-    if not 2 <= n <= n_total:
+    if not 2 <= n <= n_total or g.edge_count != n * (n - 1) // 2 + (n_total - n) * (n - 1):
         return None
     nbrs = g.neighbor_sets()
-    for clique in itertools.combinations(range(n_total), n):
-        cs = set(clique)
-        if any((u, v) not in g.edges for u, v in itertools.combinations(clique, 2)):
+    clique = sorted(sorted(range(n_total), key=lambda v: len(nbrs[v]), reverse=True)[:n])
+    counts = dict.fromkeys(clique, 0)
+    for v in range(n_total):
+        if v in counts:
             continue
-        counts = {v: 0 for v in clique}
-        ok = True
-        for v in range(n_total):
-            if v in cs:
-                continue
-            nb = nbrs[v]
-            if len(nb) != n - 1 or not nb <= cs:
-                ok = False
-                break
-            missing = cs - nb
-            counts[missing.pop()] += 1
-        if ok:
-            return tuple(counts[v] for v in clique)
-    return None
+        missing = counts.keys() - nbrs[v]
+        if len(nbrs[v]) != n - 1 or len(missing) != 1:
+            return None
+        counts[missing.pop()] += 1
+    return tuple(counts.values())
 
 
 @functools.lru_cache(maxsize=1024)
@@ -455,10 +458,16 @@ def _build(s, full, pos):
 
     m = _BRACKET_RE.match(s)
     if m:
-        body = m.group(2).strip()
-        if not body:
-            raise GraphSpecError("empty part list", full, pos + len(m.group(1)) + 1)
-        sizes = [int(p) for p in body.split(",")]
+        at = pos + len(m.group(1)) + 1
+        if not m.group(2).strip():
+            raise GraphSpecError("empty part list", full, at)
+        sizes = []
+        for part in m.group(2).split(","):
+            try:
+                sizes.append(int(part))
+            except ValueError:  # an empty part, or digits split by whitespace
+                raise GraphSpecError(f"part {part!r} is not one number", full, at) from None
+            at += len(part) + 1
         if m.group(1) == "Khub":
             return hub(sizes)
         return multipartite(sizes)

@@ -437,8 +437,10 @@ def test_relabelling_keeps_every_grid_result():
         assert rho_exact(relabelled(g, rng), relabelled(h, rng)).to_json() == want, (g, h)
 
 
-# a cold pass's _isomorphic and _least_blowup calls, per grid
-COLD_PASS_SEARCHES = {GRID_SPECS: (190, 70), GRID_26_SPECS: (676, 269)}
+# a cold pass's _isomorphic and _least_blowup calls, and its breadth-first
+# searches (one per distinct graph: the specs and the composition
+# intermediates), per grid
+COLD_PASS_SEARCHES = {GRID_SPECS: (190, 70, 15), GRID_26_SPECS: (676, 269, 26)}
 
 
 @pytest.mark.parametrize("specs,hom_pairs", [(GRID_SPECS, 19), (GRID_26_SPECS, 90)])
@@ -447,7 +449,8 @@ def test_cold_pass_does_each_piece_once(specs, hom_pairs, monkeypatch):
     # read by its top-level lookup and by composition scans alike, runs one
     # blowup search, one finiteness test and one isomorphism test, and each
     # spec string is parsed once.  _least_blowup runs for each blowup search
-    # and for each isomorphism test that gets as far as a map search.
+    # and for each isomorphism test that gets as far as a map search, and
+    # each graph is walked once.
     tool = catalog_time()
     assert {_rho_stage, _parse_spec} <= set(tool.CACHES)
     searched, counted = Counter(), Counter()
@@ -465,7 +468,8 @@ def test_cold_pass_does_each_piece_once(specs, hom_pairs, monkeypatch):
     monkeypatch.setattr(catalog_module, "hom_count", hom_counted)
     calls = tool.call_counts(specs)
     assert calls["_isomorphic"] == calls["_rho_stage"]
-    assert (calls["_isomorphic"], calls["_least_blowup"]) == COLD_PASS_SEARCHES[specs]
+    searches = calls["_isomorphic"], calls["_least_blowup"], calls["breadth_first"]
+    assert searches == COLD_PASS_SEARCHES[specs]
     assert searched and set(searched.values()) == {1}
     assert counted and set(counted.values()) == {1}
     assert len(counted) == hom_pairs

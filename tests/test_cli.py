@@ -294,6 +294,10 @@ class TestMalformedInput:
     def test_spec_outside_its_family(self, capsys, spec):
         assert_input_error(capsys, ("rho", spec, "K2"), "graph-spec")
 
+    @pytest.mark.parametrize("spec", ["K[2,,3]", "K[2,3,]", "Khub[,1]", "K[1 2]"])
+    def test_malformed_part_list(self, capsys, spec):
+        assert_input_error(capsys, ("rho", spec, "K2"), "graph-spec")
+
     @pytest.mark.parametrize("text", ["2\n0 0\n", "2\n0 5\n"], ids=["loop", "out-of-range"])
     def test_edge_file_not_a_simple_graph(self, capsys, tmp_path, text):
         f = tmp_path / "g.edges"

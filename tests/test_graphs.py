@@ -1,10 +1,13 @@
 import io
 import itertools
 import math
+import random
+import re
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rhokit import (
@@ -163,12 +166,9 @@ class TestRecognizers:
 
     def test_multipartite_matches_definition_up_to_5_vertices(self):
         graphs = 0
-        for n in range(6):
-            pairs = list(itertools.combinations(range(n), 2))
-            for keep in itertools.product((False, True), repeat=len(pairs)):
-                g = Graph.from_edges(n, itertools.compress(pairs, keep))
-                assert as_multipartite(g) == multipartite_by_definition(g)
-                graphs += 1
+        for g in all_labelled_graphs(5):
+            assert as_multipartite(g) == multipartite_by_definition(g)
+            graphs += 1
         assert graphs == 1100
 
     def test_recognizers_ignore_labeling(self):
@@ -255,7 +255,13 @@ class TestSpecLanguage:
         f.write_text("2\n0 1\n")
         assert parse_graph_spec(f"2x@{f}").edge_count == 2
 
-    @pytest.mark.parametrize("bad,position", [("P(", 1), ("  K[]", 4), ("2xQ7", 2)])
+    @pytest.mark.parametrize(
+        "bad,position",
+        [
+            *(("P(", 1), ("  K[]", 4), ("2xQ7", 2)),
+            *(("K[2,,3]", 4), ("K[2,3,]", 6), ("Khub[,1]", 5), ("K[1 2]", 2)),
+        ],
+    )
     def test_error_is_raised_afresh_on_every_call(self, bad, position):
         for _ in range(3):
             with pytest.raises(GraphSpecError) as exc:
@@ -263,7 +269,11 @@ class TestSpecLanguage:
             assert exc.value.position == position
 
     @pytest.mark.parametrize(
-        "bad", ["", "  ", "P0", "C2", "Q7", "K[]", "0xP1", "P(", "paws", "K[0]", "Gtail[0,1]"]
+        "bad",
+        [
+            *("", "  ", "P0", "C2", "Q7", "K[]", "0xP1", "P(", "paws", "K[0]", "Gtail[0,1]"),
+            *("K[2,,3]", "K[2,3,]", "Khub[,1]", "K[1 2]"),
+        ],
     )
     def test_rejects(self, bad):
         with pytest.raises(GraphSpecError):
@@ -343,6 +353,13 @@ def set_partitions(items):
             yield [*parts[:i], [first, *parts[i]], *parts[i + 1 :]]
 
 
+def all_labelled_graphs(max_vertices):
+    for n in range(max_vertices + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for keep in itertools.product((False, True), repeat=len(pairs)):
+            yield Graph.from_edges(n, itertools.compress(pairs, keep))
+
+
 def multipartite_by_definition(g):
     """The part sizes of the vertex partition whose complete multipartite
     graph is g, found by trying every partition; None if there is none."""
@@ -411,3 +428,146 @@ def test_parse_count_rejects(text, message):
 def test_path_recognizer_round_trips(m):
     assert as_path(path(m)) == m
     assert math.isclose(sum(path(m).degrees()), 2 * m)
+
+
+# a spec: an optional copy count, a family head, tokens of the alphabet and
+# perhaps a closing bracket
+SPEC_NUMBERS = st.integers(min_value=0, max_value=99).map(str)
+SPEC_HEADS = st.sampled_from(["", "K", "P", "C", "S", "K[", "Khub[", "Gtail[", "paw"])
+SPEC_TOKENS = st.one_of(
+    SPEC_NUMBERS,
+    st.sampled_from([",", " ", "]"]),
+    st.sampled_from(["K", "P", "C", "S", "x", "[", "Khub[", "Gtail[", "paw"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(["", " ", "0x", "2x", "9x"]),
+    SPEC_HEADS,
+    st.lists(SPEC_TOKENS, max_size=6),
+    st.sampled_from(["", "]"]),
+)
+def test_spec_parser_raises_only_graph_spec_errors(count, head, tokens, close):
+    # numbers of at most two digits, and copies of at most 9 graphs, from the
+    # leading count alone, keep every graph small
+    body = head + "".join(tokens) + close
+    assume(not re.search(r"\d{3}|\dx", body))
+    try:
+        assert isinstance(parse_graph_spec(count + body), Graph)
+    except GraphSpecError:
+        pass
+
+
+# The graph walks that Graph.breadth_first and the degree-based as_hub
+# replaced, kept as references.
+
+
+def bfs_order_reference(nbrs):
+    order = []
+    seen = set()
+    for root in range(len(nbrs)):
+        if root in seen:
+            continue
+        queue = [root]
+        seen.add(root)
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for u in sorted(nbrs[v]):
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+    return order
+
+
+def components_reference(g):
+    """Components by depth-first search."""
+    nbrs = g.neighbor_sets()
+    seen = set()
+    comps = []
+    for v in range(g.vertex_count):
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def is_bipartite_reference(g):
+    """A breadth-first 2-colouring that fails on an edge inside one side."""
+    nbrs = g.neighbor_sets()
+    side = [None] * g.vertex_count
+    for root in range(g.vertex_count):
+        if side[root] is not None:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in nbrs[u]:
+                if side[w] is None:
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
+
+
+def as_hub_reference(g, clique_size):
+    """as_hub by trying every vertex subset of clique_size as the clique."""
+    n = clique_size
+    if not 2 <= n <= g.vertex_count:
+        return None
+    nbrs = g.neighbor_sets()
+    for clique in itertools.combinations(range(g.vertex_count), n):
+        cs = set(clique)
+        if any((u, v) not in g.edges for u, v in itertools.combinations(clique, 2)):
+            continue
+        counts = {v: 0 for v in clique}
+        for v in set(range(g.vertex_count)) - cs:
+            if len(nbrs[v]) != n - 1 or not nbrs[v] <= cs:
+                break
+            counts[(cs - nbrs[v]).pop()] += 1
+        else:
+            return tuple(counts[v] for v in clique)
+    return None
+
+
+def test_walks_match_references_up_to_6_vertices():
+    graphs = 0
+    for g in all_labelled_graphs(6):
+        assert g.breadth_first()[0] == tuple(bfs_order_reference(g.neighbor_sets()))
+        assert g.components() == components_reference(g)
+        assert is_bipartite(g) == is_bipartite_reference(g)
+        for n in range(g.vertex_count + 2):
+            got, want = as_hub(g, clique_size=n), as_hub_reference(g, n)
+            assert (got is None) == (want is None), (g, n)
+            if got is not None:
+                assert sorted(got) == sorted(want), (g, n)
+        graphs += 1
+    assert graphs == 33868
+
+
+def test_relabelled_hubs_are_recognised():
+    rng = random.Random(3)
+    for n in range(2, 5):
+        for sizes in itertools.product(range(3), repeat=n):
+            g = hub(sizes)
+            for _ in range(3):
+                perm = list(range(g.vertex_count))
+                rng.shuffle(perm)
+                got = as_hub(g.relabel(perm), clique_size=n)
+                assert sorted(got) == sorted(sizes), (sizes, perm)
+
+
+def test_hub_recognizer_enumerates_no_subsets():
+    start = time.perf_counter()
+    assert as_hub(path(30), clique_size=6) is None
+    assert time.perf_counter() - start < 0.1
