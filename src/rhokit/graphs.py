@@ -447,10 +447,10 @@ def _build(s, full, pos):
         if n < 1:
             raise GraphSpecError("copy count must be positive", full, pos)
         g = _parse(m.group(2), full)
-        out = Graph.from_edges(0, [])
-        for _ in range(n):
-            out = disjoint_union(out, g)
-        return out
+        k = g.vertex_count  # one from_edges call: its checks run once over all n*|E| edges
+        return Graph.from_edges(
+            n * k, ((u + i * k, v + i * k) for i in range(n) for u, v in g.edges)
+        )
 
     m = _TAIL_RE.match(s)
     if m:

@@ -50,6 +50,121 @@ PROFILES = ("uniform", "sparse", "bipartiteish", "threshold", "near_construction
 
 
 # ---------------------------------------------------------------------------
+# random streams
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, const):
+    """SeedSequence's hashmix of a 32-bit word: (mixed word, next constant)."""
+    value ^= const
+    const = const * 0x931E8875 & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+class _Stream:
+    """numpy's ``default_rng(entropy)`` stream, bit for bit, without
+    importing numpy's random package (which brings secrets, hmac and
+    OpenSSL along).
+
+    ``entropy`` is a list of nonnegative ints.  numpy's SeedSequence mixes
+    their 32-bit words into 128-bit PCG64 state and increment; the stream
+    is PCG64's XSL-RR output (O'Neill 2014).  The draws are the ones the
+    verifier makes, each as numpy's Generator makes it:
+
+    - random(): (next64 >> 11) * 2**-53, an array for a size or shape;
+    - integers(high) or integers(low, high), for high - low <= 2**32:
+      Lemire's method on 32-bit draws, a second 32-bit draw taking the
+      upper half of the previous 64-bit output (random() leaves that half
+      alone), and a range of one drawing nothing;
+    - choice(seq): seq[integers(len(seq))];
+    - permutation(n): a Fisher-Yates shuffle of range(n) whose indices are
+      drawn by masked rejection on 32-bit draws, as a list.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, entropy):
+        words = []
+        for n in entropy:
+            words.append(n & _MASK32)
+            while n >> 32:
+                n >>= 32
+                words.append(n & _MASK32)
+        pool, const = [], 0x43B0D7E5
+        for w in (words + [0, 0, 0, 0])[:4]:
+            w, const = _hashmix(w, const)
+            pool.append(w)
+        mixes = [(s, d) for s in range(4) for d in range(4) if s != d]
+        mixes += [(s, d) for s in range(4, len(words)) for d in range(4)]
+        for s, d in mixes:
+            h, const = _hashmix(pool[s] if s < 4 else words[s], const)
+            m = (0xCA01F9DD * pool[d] - 0x4973F715 * h) & _MASK32
+            pool[d] = m ^ m >> 16
+        # generate_state(4, np.uint64): 8 words, paired low word first
+        out, const = [], 0x8B51F9DD
+        for i in range(8):
+            w = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _MASK32
+            w = w * const & _MASK32
+            out.append(w ^ w >> 16)
+        seed = out[0] << 64 | out[1] << 96 | out[2] | out[3] << 32
+        inc = out[4] << 64 | out[5] << 96 | out[6] | out[7] << 32
+        self._inc = (inc << 1 | 1) & _MASK128
+        self._state = ((self._inc + seed) * _PCG_MULT + self._inc) & _MASK128
+        self._half = None
+
+    def _next64(self):
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x, rot = (s >> 64) ^ (s & _MASK64), s >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _next32(self):
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _MASK32
+
+    def random(self, size=None):
+        if size is None:
+            return (self._next64() >> 11) * 2.0**-53
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        draws = [self._next64() >> 11 for _ in range(math.prod(shape))]
+        return (np.array(draws, dtype=np.float64) * 2.0**-53).reshape(shape)
+
+    def integers(self, low, high=None):
+        if high is None:
+            low, high = 0, low
+        span = high - low  # Lemire: the high word of draw * span, unbiased
+        if span == 1:
+            return low
+        m = self._next32() * span
+        if m & _MASK32 < span:
+            threshold = (1 << 32) % span
+            while m & _MASK32 < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+    def choice(self, seq):
+        return seq[self.integers(len(seq))]
+
+    def permutation(self, n):
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while (j := self._next32() & mask) > i:
+                pass
+            out[i], out[j] = out[j], out[i]
+        return out
+
+
+# ---------------------------------------------------------------------------
 # graphon sampling
 
 
@@ -75,8 +190,10 @@ def sample_weighted_graph(profile, size, seed):
 
 @functools.lru_cache(maxsize=1024)
 def _sample(profile, size, seed):
-    """sample_weighted_graph on arguments it has checked."""
-    rng = np.random.default_rng([PROFILES.index(profile), size, seed & 0x7FFFFFFF])
+    """sample_weighted_graph on arguments it has checked.  The draws come
+    from numpy's default_rng([profile index, size, seed & 0x7FFFFFFF])
+    stream, reproduced by _Stream."""
+    rng = _Stream([PROFILES.index(profile), size, seed & 0x7FFFFFFF])
 
     masses = rng.random(size) + 0.1
     masses = masses / masses.sum()
@@ -97,7 +214,7 @@ def _sample(profile, size, seed):
         u = np.sort(rng.random(size))
         weights = (np.add.outer(u, u) <= 1.0).astype(float)
     else:  # near_construction
-        fam_idx = int(rng.integers(4))
+        fam_idx = rng.integers(4)
         if fam_idx == 0:
             base = ConstructionFamily("constant_p", (0.5,)).at_scale(1)
         elif fam_idx == 1:
@@ -105,7 +222,7 @@ def _sample(profile, size, seed):
         elif fam_idx == 2:
             base = ConstructionFamily("two_clique").at_scale(1)
         else:
-            base = ConstructionFamily("looped_star").at_scale(int(rng.integers(3, 20)))
+            base = ConstructionFamily("looped_star").at_scale(rng.integers(3, 20))
         k = base.block_count
         jitter = rng.random((k, k)) * 0.1 - 0.05
         weights = np.clip(base.weights + (jitter + jitter.T) / 2, 0.0, 1.0)
@@ -157,12 +274,12 @@ def _dominates(w, base, c, terms, description):
 
 def _suite_holder(rng, w):
     if rng.integers(2) == 0:
-        a = int(rng.integers(2, 5))
-        b = int(rng.integers(2, 5))
+        a = rng.integers(2, 5)
+        b = rng.integers(2, 5)
         terms = [(1, multipartite([a + 1, b - 1])), (1, multipartite([a - 1, b + 1]))]
         desc = f"t(K{a + 1},{b - 1})t(K{a - 1},{b + 1}) >= t(K{a},{b})^2"
         return _dominates(w, multipartite([a, b]), 2, terms, desc)
-    x = int(rng.choice([2, 4]))
+    x = rng.choice([2, 4])
     terms = [(1, path(x)), (1, path(x + 4))]
     return _dominates(w, path(x + 2), 2, terms, f"t(P{x})t(P{x + 4}) >= t(P{x + 2})^2")
 
@@ -185,7 +302,7 @@ _INTERP = _interpolation_tuples()
 
 
 def _suite_path_interpolation(rng, w):
-    a, b, x, y, z = _INTERP[int(rng.integers(len(_INTERP)))]
+    a, b, x, y, z = _INTERP[rng.integers(len(_INTERP))]
     desc = f"{a}*logt(P{x}) + {b}*logt(P{y}) >= {a + b}*logt(P{z})"
     return _dominates(w, path(z), a + b, [(a, path(x)), (b, path(y))], desc)
 
@@ -194,8 +311,8 @@ BETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _suite_blakely_roy_gen(rng, w):
-    r = int(rng.integers(1, 7))
-    beta = float(rng.choice(BETA_GRID))
+    r = rng.integers(1, 7)
+    beta = rng.choice(BETA_GRID)
     le = log_density(path(1), w)
     if le == -math.inf:
         return None
@@ -205,17 +322,17 @@ def _suite_blakely_roy_gen(rng, w):
 
 
 def _suite_cycle_tail(rng, w):
-    k = int(rng.integers(1, 4))
-    ell = int(rng.integers(0, 7))
+    k = rng.integers(1, 4)
+    ell = rng.integers(0, 7)
     expo = 1 + math.ceil(ell / k) / 2
     desc = f"t(G_({k},{ell})) >= t(C{2 * k + 1})^{expo}"
     return _dominates(w, cycle(2 * k + 1), expo, [(1, cycle_tail(k, ell))], desc)
 
 
 def _suite_shearer_star(rng, w):
-    a = int(rng.integers(1, 3))
-    c = int(rng.integers(a + 1, 5))
-    b = int(rng.integers(1, 4))
+    a = rng.integers(1, 3)
+    c = rng.integers(a + 1, 5)
+    b = rng.integers(1, 4)
     small = generalized_star_density(a, b, w)
     if small <= 0:
         return None
@@ -227,22 +344,22 @@ def _suite_shearer_star(rng, w):
 
 
 def _suite_spectral_lp(rng, w):
-    n = int(rng.integers(2, 4))
-    m = int(rng.integers(2 * n + 1, 11))
+    n = rng.integers(2, 4)
+    m = rng.integers(2 * n + 1, 11)
     desc = f"t(C{2 * n}) >= t(C{m})^({2 * n}/{m})"
     return _dominates(w, cycle(m), 2 * n / m, [(1, cycle(2 * n))], desc)
 
 
 def _suite_kruskal_katona(rng, w):
-    s = int(rng.integers(2, 6))
-    t = int(rng.integers(2, s + 1))
+    s = rng.integers(2, 6)
+    t = rng.integers(2, s + 1)
     return _dominates(w, complete(s), t / s, [(1, complete(t))], f"t(K{t}) >= t(K{s})^({t}/{s})")
 
 
 def _suite_hub(rng, w):
-    n = int(rng.integers(2, 4))
+    n = rng.integers(2, 4)
     while True:
-        a = [int(rng.integers(0, 3)) for _ in range(n)]
+        a = [rng.integers(0, 3) for _ in range(n)]
         if 1 <= sum(a) <= 3:
             break
     desc = f"t(K'_{a}) >= t(K{n})^{1 + sum(a)}"
@@ -278,18 +395,18 @@ _MAJ_PAIRS = {t: _majorizing_pairs(t, 4) for t in (4, 5, 6, 7, 8)}
 
 
 def _suite_majorization_monotone(rng, w):
-    total = int(rng.integers(4, 9))
+    total = rng.integers(4, 9)
     pairs = _MAJ_PAIRS[total]
-    a, b = pairs[int(rng.integers(len(pairs)))]
+    a, b = pairs[rng.integers(len(pairs))]
     desc = f"t(K_{a}) >= t(K_{b}) for {a} maj {b}"
     return _dominates(w, multipartite(b), 1, [(1, multipartite(a))], desc)
 
 
 def _random_connected_graph(rng, nv):
     edges = set()
-    order = list(rng.permutation(nv))
+    order = rng.permutation(nv)
     for i in range(1, nv):
-        j = order[int(rng.integers(i))]
+        j = order[rng.integers(i)]
         u, v = order[i], j
         edges.add((min(u, v), max(u, v)))
     for u in range(nv):
@@ -312,15 +429,15 @@ def _random_graph(rng, nv):
 
 
 def _suite_star_tree(rng, w):
-    nv = int(rng.integers(2, 6))
+    nv = rng.integers(2, 6)
     g = _random_connected_graph(rng, nv)
-    t = int(rng.integers(nv - 1, 7))
+    t = rng.integers(nv - 1, 7)
     desc = f"t(K_1,{t}) >= t(G[{nv}v])^({t}/{nv - 1})"
     return _dominates(w, g, t / (nv - 1), [(1, star(t))], desc)
 
 
 def _suite_delta_star(rng, w):
-    nv = int(rng.integers(2, 7))
+    nv = rng.integers(2, 7)
     g = _random_graph(rng, nv)
     c = 2 / (nv - delta_index(g, 1))
     return _dominates(w, g, c, [(1, path(1))], f"t(K2) >= t(G[{nv}v,{g.edge_count}e])^{c}")
@@ -328,22 +445,22 @@ def _suite_delta_star(rng, w):
 
 def _suite_cycle_path(rng, w):
     if rng.integers(2) == 0:
-        m = int(rng.integers(3, 7))
-        n = int(rng.integers(1, 7))
+        m = rng.integers(3, 7)
+        n = rng.integers(1, 7)
         rho = Fraction(n + 1, m) if n <= m - 1 else Fraction(n, m - 1)
         return _dominates(w, cycle(m), float(rho), [(1, path(n))], f"t(P{n}) >= t(C{m})^{rho}")
-    m = int(rng.integers(1, 7))
-    n = int(rng.integers(2, 5))
+    m = rng.integers(1, 7)
+    n = rng.integers(2, 5)
     desc = f"t(C{2 * n}) >= t(P{m})^({2 * n}/{m})"
     return _dominates(w, path(m), 2 * n / m, [(1, cycle(2 * n))], desc)
 
 
 def _suite_bipartite_cases(rng, w):
     for _ in range(50):
-        a2 = int(rng.integers(1, 4))
-        a1 = int(rng.integers(a2, 5))
-        b2 = int(rng.integers(1, 4))
-        b1 = int(rng.integers(b2, 5))
+        a2 = rng.integers(1, 4)
+        a1 = rng.integers(a2, 5)
+        b2 = rng.integers(1, 4)
+        b1 = rng.integers(b2, 5)
         proven = _bipartite_case(a1, a2, b1, b2)
         if proven is not None:  # the conjectured case is not a theorem
             rho = proven[1]
@@ -356,13 +473,13 @@ def _suite_bipartite_cases(rng, w):
 
 def _suite_odd_cycle_bounds(rng, w):
     if rng.integers(2) == 0:
-        n = int(rng.integers(2, 4))
-        k = int(rng.integers(3, 2 * n + 1))
+        n = rng.integers(2, 4)
+        k = rng.integers(3, 2 * n + 1)
         q = Fraction(1, 2 * n - 1)
         u = (2 * n - 1 - q) / (k - 1 - q)
         return _dominates(w, cycle(k), float(u), [(1, cycle(2 * n))], f"t(C{2 * n}) >= t(C{k})^{u}")
-    k = int(rng.integers(1, 3))
-    n = int(rng.integers(k + 1, 5))
+    k = rng.integers(1, 3)
+    n = rng.integers(k + 1, 5)
     expo = math.ceil(n / k) + 1
     desc = f"t(C{2 * n + 1}) >= t(C{2 * k + 1})^{expo}"
     return _dominates(w, cycle(2 * k + 1), expo, [(1, cycle(2 * n + 1))], desc)
@@ -390,7 +507,7 @@ _CATALOG_PAIRS = (
 
 
 def _suite_catalog_upper(rng, w):
-    gs, hs = _CATALOG_PAIRS[int(rng.integers(len(_CATALOG_PAIRS)))]
+    gs, hs = _CATALOG_PAIRS[rng.integers(len(_CATALOG_PAIRS))]
     res = rho_exact(gs, hs)
     terms = [(1, parse_graph_spec(hs))]
     desc = f"t({hs}) >= t({gs})^{res.value}"
@@ -448,9 +565,10 @@ class SuiteReport:
 def run_suite(suite, trials, seed):
     """Run one inequality suite for the given number of trials.
 
-    Instance parameters and the target graphon are drawn from a per-trial
-    RNG stream derived from (seed, trial index), so identical arguments
-    reproduce bit-identical reports.
+    Instance parameters are drawn from numpy's default_rng([seed &
+    0x7FFFFFFF, suite index, trial]) stream, reproduced by _Stream, and
+    trial t's graphon is sample_weighted_graph(profile, size, seed + 7919*t).
+    Identical arguments therefore reproduce bit-identical reports.
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
@@ -467,7 +585,7 @@ def run_suite(suite, trials, seed):
     skipped = 0
     min_residual = math.inf
     for trial in range(trials):
-        rng = np.random.default_rng([seed & 0x7FFFFFFF, suite_idx, trial])
+        rng = _Stream([seed & 0x7FFFFFFF, suite_idx, trial])
         profile = PROFILES[trial % len(PROFILES)]
         size = 2 + (trial // len(PROFILES)) % 4
         w = sample_weighted_graph(profile, size, seed + 7919 * trial)

@@ -40,6 +40,7 @@ from rhokit.graphs import (
     is_bipartite,
     is_paw,
     parse_count,
+    _parse_spec,
 )
 
 
@@ -235,6 +236,24 @@ class TestSpecLanguage:
         assert g.vertex_count == 6
         assert g.edge_count == 3
         assert not g.is_connected()
+
+    @pytest.mark.parametrize(
+        "n,spec",
+        [(1, "K3"), (2, "P3"), (3, "K1"), (4, "paw"), (5, "Khub[1,1,1]"), (12, "C5"), (2, "3xK2")],
+    )
+    def test_copies_equal_the_union_fold(self, n, spec):
+        g = parse_graph_spec(spec)
+        fold = Graph.from_edges(0, [])
+        for _ in range(n):
+            fold = disjoint_union(fold, g)
+        assert parse_graph_spec(f"{n}x{spec}") == fold
+
+    def test_many_copies_parse_in_linear_time(self):
+        # folding n disjoint_union calls re-checks every edge so far: 53 s for this spec
+        start = time.perf_counter()
+        g = _parse_spec.__wrapped__("99xK99")  # uncached: 480,249 edges
+        assert time.perf_counter() - start < 10
+        assert (g.vertex_count, g.edge_count) == (99 * 99, 99 * 99 * 98 // 2)
 
     def test_edge_file(self, tmp_path):
         f = tmp_path / "g.edges"
@@ -443,13 +462,13 @@ SPEC_TOKENS = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(
-    st.sampled_from(["", " ", "0x", "2x", "9x"]),
+    st.sampled_from(["", " ", "0x", "2x", "9x", "10x"]),
     SPEC_HEADS,
     st.lists(SPEC_TOKENS, max_size=6),
     st.sampled_from(["", "]"]),
 )
 def test_spec_parser_raises_only_graph_spec_errors(count, head, tokens, close):
-    # numbers of at most two digits, and copies of at most 9 graphs, from the
+    # numbers of at most two digits, and copies of at most 10 graphs, from the
     # leading count alone, keep every graph small
     body = head + "".join(tokens) + close
     assume(not re.search(r"\d{3}|\dx", body))

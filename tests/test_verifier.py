@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ from rhokit import (
     run_suite,
     sample_weighted_graph,
 )
-from rhokit.verify import _sample
+from rhokit.verify import _Stream, _sample
 
 
 class TestSampling:
@@ -69,6 +73,127 @@ class TestSampling:
     def test_numpy_integers_share_the_draw(self):
         a = sample_weighted_graph("uniform", np.int64(3), np.int32(7))
         assert a is sample_weighted_graph("uniform", 3, 7)
+
+
+def entropy_lists(count, seed):
+    """3-word entropy lists as _sample and run_suite build them: small
+    indices and sizes, zero words, and seeds masked to 31 bits."""
+    r = random.Random(seed)
+    words = [
+        lambda: 0,
+        lambda: r.randrange(16),
+        lambda: r.randrange(1000),
+        lambda: r.getrandbits(31),
+        lambda: r.getrandbits(31) | 0x40000000,
+        lambda: 0x7FFFFFFF,
+    ]
+    return [[r.choice(words)() for _ in range(3)] for _ in range(count)]
+
+
+def streams(entropy):
+    """numpy's default_rng stream and rhokit's, seeded alike."""
+    return np.random.default_rng(entropy), _Stream(entropy)
+
+
+DRAWS = [
+    ("random",),
+    ("random", 5),
+    ("random", (4, 4)),
+    ("integers", 2),
+    ("integers", 23),
+    ("integers", 2**32),
+    ("integers", 3, 20),
+    ("integers", 0, 3),
+    ("integers", 6, 7),
+    ("choice", [2, 4]),
+    ("choice", (0.0, 0.25, 0.5, 0.75, 1.0)),
+    ("permutation", 1),
+    ("permutation", 6),
+    ("permutation", 17),
+]
+
+
+def assert_same_draw(numpy_rng, stream, draw, where):
+    name, *args = draw
+    want, have = getattr(numpy_rng, name)(*args), getattr(stream, name)(*args)
+    if name == "random" and args:
+        assert have.dtype == want.dtype and have.shape == want.shape, where
+    assert np.array_equal(np.asarray(have), np.asarray(want)), (where, draw)
+
+
+class TestStream:
+    """_Stream against the numpy stream it reproduces."""
+
+    def test_seeding_matches_numpy(self):
+        for entropy in entropy_lists(3000, seed=1):
+            numpy_rng, stream = streams(entropy)
+            want = [int(x) for x in numpy_rng.bit_generator.random_raw(3)]
+            assert [stream._next64() for _ in range(3)] == want, entropy
+
+    def test_longer_entropy_matches_numpy(self):
+        # words past 32 bits split into several, and lists past the pool of 4
+        for entropy in ([2**40 + 5, 3, 7], [2**70 - 1], [1, 2, 3, 4, 5, 6], [], [0]):
+            numpy_rng, stream = streams(entropy)
+            assert stream._next64() == int(numpy_rng.bit_generator.random_raw()), entropy
+
+    @pytest.mark.parametrize("draw", DRAWS, ids=lambda d: repr(d))
+    def test_each_draw_kind(self, draw):
+        for entropy in entropy_lists(300, seed=2):
+            numpy_rng, stream = streams(entropy)
+            for _ in range(6):
+                assert_same_draw(numpy_rng, stream, draw, entropy)
+
+    def test_interleaved_draws(self):
+        r = random.Random(3)
+        for entropy in entropy_lists(1000, seed=3):
+            numpy_rng, stream = streams(entropy)
+            for draw in r.choices(DRAWS, k=8):
+                assert_same_draw(numpy_rng, stream, draw, entropy)
+
+    def test_scalar_draws_are_python_numbers(self):
+        stream = _Stream([1, 2, 3])
+        assert type(stream.random()) is float
+        assert type(stream.integers(5)) is int
+        assert all(type(v) is int for v in stream.permutation(4))
+
+    def test_second_integer_reads_the_buffered_half(self):
+        # a 32-bit draw takes the low half of a 64-bit output and keeps the
+        # high half for the next one; random() between them leaves it alone
+        numpy_rng, stream = streams([4, 2, 99])
+        raw = np.random.default_rng([4, 2, 99]).bit_generator.random_raw(2)
+        first, second = (int(x) for x in raw)
+        draws = [stream.integers(2**32), stream.random(), stream.integers(2**32)]
+        assert draws == [first & 0xFFFFFFFF, (second >> 11) * 2.0**-53, first >> 32]
+        assert draws == [numpy_rng.integers(2**32), numpy_rng.random(), numpy_rng.integers(2**32)]
+
+    def test_a_range_of_one_draws_nothing(self):
+        numpy_rng, stream = streams([0, 5, 0])
+        assert stream.integers(1) == numpy_rng.integers(1) == 0
+        assert stream.integers(6, 7) == numpy_rng.integers(6, 7) == 6
+        assert stream.choice([7]) == numpy_rng.choice([7]) == 7
+        fresh = _Stream([0, 5, 0])
+        assert stream._next64() == fresh._next64() == int(numpy_rng.bit_generator.random_raw())
+
+    def test_cold_search_and_verify_leave_numpy_random_unimported(self):
+        code = (
+            "import json, sys\n"
+            "from rhokit import SearchConfig, run_suite, search_lower_bound\n"
+            "before = set(sys.modules)\n"
+            "config = SearchConfig(block_counts=(2,), restarts=1, iterations=6)\n"
+            "search_lower_bound('C3', 'C4', config)\n"
+            "run_suite('star_tree', 10, 1)\n"
+            "loaded = sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules)\n"
+            "print(json.dumps([loaded, sorted(set(sys.modules) - before)]))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, imported = json.loads(proc.stdout)
+        assert loaded == [], f"modules imported beyond import rhokit: {imported}"
 
 
 class TestResidual:
