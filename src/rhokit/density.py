@@ -10,7 +10,13 @@ einsum_path.  From 2 blocks on the path does not depend on the block
 count (_replay proves it), so it is replayed once per pattern, and once
 more for 1 block.  Each block count fills in its own sizes and slicing
 decision: a cached program of steps, step for step the one replayed at
-k.  A step joining two operands runs the way numpy's bmm_einsum runs it:
+k.  Replays of different patterns repeat the same steps, so two step
+caches sit below the programs: a pairwise step's fields apart from its
+operand positions, on its index strings and k (_pair_fields), and the
+lengths k**e a program fills in for a shape's exponents (_lengths).  Both
+hold pure functions of their keys, so a program built from cold caches is
+the one built from warm ones (tools/plan_build.py times cold builds).
+A step joining two operands runs the way numpy's bmm_einsum runs it:
 a one-operand einsum and a reshape on each side where needed, np.matmul
 or np.multiply, then a reshape and transpose.  Any other step is one
 plain np.einsum.  A call runs these steps and plans nothing.  On numpy
@@ -140,15 +146,16 @@ def _greedy_path(masks, k, limit=None):
     first such pair in numpy's candidate order on ties.  A join whose
     result has more elements than limit, by default the largest operand's,
     or that takes the path's cost past the naive one-step cost, is no
-    candidate.  Pairs that share an index are scanned first; only when none
-    qualifies are all pairs, outer products included, scanned again, and
-    when still none does, the step joins every operand left and the path
-    ends: greedy gives up.  After a join only pairs with the new operand
-    are scanned: every other candidate keeps its key and result, stale as
-    they may be, as in numpy.  Candidates wait in a list sorted by key, then
-    by the order they were found, which is numpy's list order; one whose
-    operand is gone is dropped when it comes up.  Operands keep the id they
-    were made with, and a step's positions are read off the operands left.
+    candidate.  Pairs that share an index are scanned first, the scan list
+    filtered to them as it is built; only when none qualifies are all
+    pairs, outer products included, scanned again, and when still none
+    does, the step joins every operand left and the path ends: greedy gives
+    up.  After a join only pairs with the new operand are scanned: every
+    other candidate keeps its key and result, stale as they may be, as in
+    numpy.  Candidates wait in a list sorted by key, then by the order they
+    were found, which is numpy's list order; one whose operand is gone is
+    dropped when it comes up.  Operands keep the id they were made with,
+    and a step's positions are read off the operands left.
     limit=math.inf is opt_einsum's default, where only the naive-cost test
     can end the path in a join of every operand.
     """
@@ -161,11 +168,13 @@ def _greedy_path(masks, k, limit=None):
     everything = functools.reduce(operator.or_, masks)
     naive = size[everything.bit_count()] * n  # n - 1 joins, and an index is summed
     ops = dict(enumerate(masks))  # by id; ids ascend in operand list order
+    sizes = [size[m.bit_count()] for m in masks]  # by id
     # known: candidates (gain, -flops, -order found, i, j, result), sorted,
     # so the least key (-gain, flops), first found on ties, is the last
     path, known, cost = [], [], 0
     order = itertools.count()
-    pairs = itertools.combinations(range(n), 2)
+    # the pairs to scan next that share an index, in numpy's scan order
+    sharing = [(i, j) for i, j in itertools.combinations(range(n), 2) if masks[i] & masks[j]]
     for new in range(n, 2 * n - 1):
         # indices held by exactly one operand, and by exactly two
         once = twice = more = 0
@@ -173,34 +182,31 @@ def _greedy_path(masks, k, limit=None):
             more |= twice & m
             twice = (twice | once & m) & ~more
             once = (once | m) & ~(twice | more)
-
-        def consider(i, j):
-            a, b = ops[i], ops[j]
-            removed = once & (a ^ b) | twice & a & b
-            result = (a | b) & ~removed
-            kept = size[result.bit_count()]
-            flops = size[(a | b).bit_count()] * (2 if removed else 1)
-            if kept <= limit and cost + flops <= naive:
-                gain = size[a.bit_count()] + size[b.bit_count()] - kept
-                bisect.insort(known, (gain, -flops, -next(order), i, j, result))
-
-        for i, j in pairs:
-            if ops[i] & ops[j]:
-                consider(i, j)
-        while known and (known[-1][3] not in ops or known[-1][4] not in ops):
-            known.pop()
-        if not known:
-            for i, j in itertools.combinations(ops, 2):
-                consider(i, j)
-        if not known:
+        for scan in (sharing, itertools.combinations(ops, 2)):
+            for i, j in scan:
+                a, b = ops[i], ops[j]
+                joined = a | b
+                removed = once & (a ^ b) | twice & a & b
+                result = joined ^ removed
+                kept = size[result.bit_count()]
+                flops = size[joined.bit_count()] * (2 if removed else 1)
+                if kept <= limit and cost + flops <= naive:
+                    gain = sizes[i] + sizes[j] - kept
+                    bisect.insort(known, (gain, -flops, -next(order), i, j, result))
+            while known and (known[-1][3] not in ops or known[-1][4] not in ops):
+                known.pop()
+            if known:
+                break
+        else:
             path.append(tuple(range(len(ops))))
             break
         _, negated_flops, _, x, y, result = known.pop()
         ids = list(ops)
         path.append((ids.index(x), ids.index(y)))
         del ops[x], ops[y]
-        pairs = [(i, new) for i in ops]
+        sharing = [(i, new) for i, m in ops.items() if m & result]
         ops[new] = result
+        sizes.append(size[result.bit_count()])
         cost -= negated_flops
     return path
 
@@ -349,15 +355,26 @@ def _sized(step, k):
     if type(step) is not _Pair:
         return step
     positions, eq, eq_a, shape_a, eq_b, shape_b, join, shape, perm = step
-    shape_a, shape_b, shape = [
-        None if s is None else tuple([k**e for e in s]) for s in (shape_a, shape_b, shape)
-    ]
+    shape_a, shape_b, shape = _lengths(shape_a, k), _lengths(shape_b, k), _lengths(shape, k)
     return _Pair(positions, eq, eq_a, shape_a, eq_b, shape_b, join, shape, perm)
+
+
+@functools.lru_cache(maxsize=4096)
+def _lengths(exponents, k):
+    """The lengths k**e of a shape given as exponents of k; None stays None."""
+    return None if exponents is None else tuple([k**e for e in exponents])
 
 
 def _pair(positions, a, b, out, k):
     """The _Pair step for a,b->out when every axis has length k, its shapes
-    as exponents of k (_sized makes them lengths).
+    as exponents of k (_sized makes them lengths)."""
+    return _Pair(positions, *_pair_fields(a, b, out, k))
+
+
+@functools.lru_cache(maxsize=4096)
+def _pair_fields(a, b, out, k):
+    """The fields of _pair's step after its positions, which depend only on
+    a, b, out and k, so replays of many patterns share them.
 
     numpy's bmm_einsum leaves out axes of length 1, so for k = 1 no index
     is summed between the sides and the join is a broadcast multiply.
@@ -370,7 +387,7 @@ def _pair(positions, a, b, out, k):
             kept = "".join(ix for ix in out if ix in t)
             return _reorder(t, kept), tuple(int(ix in t) for ix in out)
 
-        return _Pair(positions, eq, *side(a), *side(b), np.multiply, None, None)
+        return (eq, *side(a), *side(b), np.multiply, None, None)
     batch = [ix for ix in a if ix in b and ix in out]
     a_kept = [ix for ix in a if ix not in b and ix in out]
     b_kept = [ix for ix in b if ix not in a and ix in out]
@@ -381,8 +398,7 @@ def _pair(positions, a, b, out, k):
     if not batch:  # numpy leaves the batch axis out
         groups_a, groups_b, groups_out = groups_a[1:], groups_b[1:], groups_out[1:]
     produced = "".join(batch + a_kept + b_kept)
-    return _Pair(
-        positions,
+    return (
         eq,
         _reorder(a, "".join(batch + a_kept + summed)),
         _fused(groups_a),
@@ -652,8 +668,8 @@ def log_density(g, w):
     weights are scaled to integers over powers of two and the density is
     counted exactly, so a positive density never underflows to log 0.
     """
-    smallest = g.vertex_count * math.log(w.masses.min())
-    smallest += g.edge_count * math.log(w.weights[w.weights > 0].min(initial=1.0))
+    log_mass, log_weight = w._log_floors
+    smallest = g.vertex_count * log_mass + g.edge_count * log_weight
     if smallest > _NORMAL_LOG:
         t = density(g, w)
         return math.log(t) if t > 0.0 else -math.inf
@@ -696,6 +712,16 @@ def generalized_star_density(n, x, w):
     the common neighbourhood of T.
 
     0^0 = 1, so x = 0 always gives 1.
+
+    Tuples run in itertools.product order, in chunks that share their
+    first centres: a chunk's products of masses and of weight rows are
+    built for all its tuples at once, one centre at a time from the first,
+    so each is the left-to-right product a tuple alone would get.  Each
+    tuple then takes its own np.dot and power, and the terms are added one
+    by one, in tuple order: the sum has the bits of a loop over tuples.  A
+    chunk's weight-row products hold at most _CHUNK entries, or k**2 where
+    that is more, so memory stays bounded however many tuples the
+    enumeration cap lets through.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -704,15 +730,25 @@ def generalized_star_density(n, x, w):
     k = w.block_count
     if float(k) ** n > enumeration_cap():
         raise EnumerationCapError(f"{k}^{n} center tuples exceed the enumeration cap")
+    masses, weights = w.masses, w.weights
+    dot = masses.dot  # np.dot(masses, row)
+    tail = 1  # the last tail centres of a tuple vary within a chunk
+    while tail < n and k ** (tail + 2) <= _CHUNK:
+        tail += 1
+    # each tail centre's block, per tuple of a chunk, in product order
+    blocks = np.indices((k,) * tail).reshape(tail, -1)
     total = 0.0
-    for tup in itertools.product(range(k), repeat=n):
-        mu = 1.0
-        prod = np.ones(k)
-        for b in tup:
-            mu *= w.masses[b]
-            prod = prod * w.weights[b]
-        d = float(np.dot(w.masses, prod))
-        total += mu * (1.0 if x == 0 else d**x)
+    for head in itertools.product(range(k), repeat=n - tail):
+        mu, row = 1.0, np.ones(k)
+        for b in head:
+            mu *= masses[b]
+            row = row * weights[b]
+        mus, rows = np.full(len(blocks[0]), mu), row
+        for b in blocks:
+            mus = mus * masses[b]
+            rows = rows * weights[b]
+        for mu, row in zip(mus.tolist(), rows):
+            total += mu * (1.0 if x == 0 else float(dot(row)) ** x)
     return float(total)
 
 

@@ -59,21 +59,26 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
+        """Check the edges and keep them as one frozenset of (low, high)
+        pairs of Python ints, built in one pass over what was given: any
+        iterable of vertex pairs, which from_edges passes through as is."""
         if self.vertex_count < 0:
             raise DomainError("vertex_count must be nonnegative")
-        canon = set()
-        for e in self.edges:
+        n = self.vertex_count
+
+        def canonical(e):
             u, v = _integers(e, "edge {} has a non-integer vertex label")
             if u == v:
                 raise DomainError(f"loop ({u},{v}) not allowed in a simple graph")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise DomainError(f"edge {e} out of range for {self.vertex_count} vertices")
-            canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(canon))
+            if not (0 <= u < n and 0 <= v < n):
+                raise DomainError(f"edge {e} out of range for {n} vertices")
+            return (u, v) if u < v else (v, u)
+
+        object.__setattr__(self, "edges", frozenset(map(canonical, self.edges)))
 
     @classmethod
     def from_edges(cls, vertex_count, edges):
-        return cls(vertex_count, frozenset(tuple(e) for e in edges))
+        return cls(vertex_count, edges)
 
     @property
     def edge_count(self):
@@ -544,9 +549,13 @@ def _check_blocks(masses, weights):
 class WeightedGraph:
     """A step graphon: block masses (positive, summing to 1) and a symmetric
     block weight matrix with entries in [0,1].  Diagonal entries are loop
-    weights.  Instances are immutable."""
+    weights.  Instances are immutable.
 
-    __slots__ = ("masses", "weights")
+    Each instance keeps the logs of its smallest mass and of its smallest
+    positive weight (0.0 when no weight is positive), which density.log_density
+    reads on every call to pick its route."""
+
+    __slots__ = ("masses", "weights", "_log_floors")
 
     def __init__(self, masses, weights):
         masses = np.asarray(masses, dtype=float).copy()
@@ -561,6 +570,8 @@ class WeightedGraph:
         weights.setflags(write=False)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "weights", weights)
+        floors = (math.log(masses.min()), math.log(weights[weights > 0].min(initial=1.0)))
+        object.__setattr__(self, "_log_floors", floors)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedGraph is immutable")

@@ -58,12 +58,36 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hashmix(value, const):
-    """SeedSequence's hashmix of a 32-bit word: (mixed word, next constant)."""
-    value ^= const
-    const = const * 0x931E8875 & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
+def _hash_constants(calls, const, multiplier):
+    """SeedSequence's constants for calls hashes in a row: per hash, the
+    constant its word is xored with and the one it is multiplied by."""
+    pairs = []
+    for _ in range(calls):
+        pairs.append((const, const * multiplier & _MASK32))
+        const = pairs[-1][1]
+    return pairs
+
+
+def _mixing(words):
+    """SeedSequence's hashes that mix the entropy into its pool of 4 words,
+    in order, as (source, destination, xor constant, multiplier): each pool
+    word into every other, then each entropy word past the first 4 into
+    every pool word.  A source past 3 is that entropy word."""
+    pairs = [(s, d) for s in range(4) for d in range(4) if s != d]
+    pairs += [(s, d) for s in range(4, words) for d in range(4)]
+    # 4 hashes fill the pool first
+    constants = _hash_constants(4 + len(pairs), 0x43B0D7E5, 0x931E8875)[4:]
+    return [(s, d, xor, mul) for (s, d), (xor, mul) in zip(pairs, constants)]
+
+
+# The hash constants do not depend on the entropy, so entropy of up to 4
+# words seeds from these tables
+_FILL = _hash_constants(4, 0x43B0D7E5, 0x931E8875)
+_MIXING = _mixing(4)
+# generate_state(4, np.uint64) hashes 8 words of the pool: (word, xor, multiplier)
+_OUTPUT = [
+    (i % 4, xor, mul) for i, (xor, mul) in enumerate(_hash_constants(8, 0x8B51F9DD, 0x58F38DED))
+]
 
 
 class _Stream:
@@ -95,22 +119,19 @@ class _Stream:
             while n >> 32:
                 n >>= 32
                 words.append(n & _MASK32)
-        pool, const = [], 0x43B0D7E5
-        for w in (words + [0, 0, 0, 0])[:4]:
-            w, const = _hashmix(w, const)
-            pool.append(w)
-        mixes = [(s, d) for s in range(4) for d in range(4) if s != d]
-        mixes += [(s, d) for s in range(4, len(words)) for d in range(4)]
-        for s, d in mixes:
-            h, const = _hashmix(pool[s] if s < 4 else words[s], const)
-            m = (0xCA01F9DD * pool[d] - 0x4973F715 * h) & _MASK32
+        pool = []
+        for w, (xor, mul) in zip((words + [0, 0, 0, 0])[:4], _FILL):
+            w = (w ^ xor) * mul & _MASK32
+            pool.append(w ^ w >> 16)
+        pool += words[4:]  # read, never written, by the mixing hashes
+        for s, d, xor, mul in _MIXING if len(words) <= 4 else _mixing(len(words)):
+            h = (pool[s] ^ xor) * mul & _MASK32
+            m = (0xCA01F9DD * pool[d] - 0x4973F715 * (h ^ h >> 16)) & _MASK32
             pool[d] = m ^ m >> 16
         # generate_state(4, np.uint64): 8 words, paired low word first
-        out, const = [], 0x8B51F9DD
-        for i in range(8):
-            w = pool[i % 4] ^ const
-            const = const * 0x58F38DED & _MASK32
-            w = w * const & _MASK32
+        out = []
+        for i, xor, mul in _OUTPUT:
+            w = (pool[i] ^ xor) * mul & _MASK32
             out.append(w ^ w >> 16)
         seed = out[0] << 64 | out[1] << 96 | out[2] | out[3] << 32
         inc = out[4] << 64 | out[5] << 96 | out[6] | out[7] << 32

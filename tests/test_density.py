@@ -7,6 +7,7 @@ import math
 import operator
 import string
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,27 @@ class TestLogDensity:
         assert log_density(complete(4), w) == pytest.approx(6 * math.log(weight), rel=1e-12)
         assert calls == [complete(4)]
 
+    @pytest.mark.parametrize(
+        "masses,weights",
+        [
+            # no positive weight: the weight floor is log 1 = 0
+            ([0.5, 0.25, 0.25], np.zeros((3, 3))),
+            ([0.5, 0.5], np.full((2, 2), 1e-300)),
+            ([0.75, 0.25], [[1e-300, 0.0], [0.0, 0.5]]),
+        ],
+    )
+    def test_floors_are_kept_with_the_graphon(self, masses, weights):
+        w = WeightedGraph(masses, weights)
+        positive = w.weights[w.weights > 0]
+        floors = (math.log(w.masses.min()), math.log(positive.min(initial=1.0)))
+        assert w._log_floors == floors
+        for g in (Graph(3, frozenset()), path(1), path(2), cycle(3), complete(4)):
+            want = log_density_oracle(g, w)
+            if want == -math.inf:
+                assert log_density(g, w) == -math.inf
+            else:
+                assert log_density(g, w) == pytest.approx(want, rel=1e-12)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -454,6 +476,34 @@ class TestPlanCache:
             density(g, w)
         monkeypatch.delenv("RHOKIT_ENUM_CAP")
         assert density(g, w) >= 0
+
+
+# every cache a program build reads: the programs, the replays they are
+# filled in from, and the step caches those share across patterns
+PLAN_CACHES = (
+    density_module._plan,
+    density_module._replay,
+    density_module._pair_fields,
+    density_module._lengths,
+)
+
+
+class TestStepCaches:
+    def test_cold_program_is_the_warm_one(self):
+        keys = [(g, k) for nv in range(1, 6) for g in labelled_graphs(nv) for k in range(1, 6)]
+        cold = {}
+        for g, k in keys:
+            for cache in PLAN_CACHES:
+                cache.cache_clear()
+            cold[g, k] = _plan(g, k)
+        # built again in the reverse order, so every step cache holds the
+        # steps of other patterns and other block counts first
+        _plan.cache_clear()
+        _replay.cache_clear()
+        for g, k in reversed(keys):
+            assert _plan(g, k) == cold[g, k], (sorted(g.edges), k)
+        assert density_module._pair_fields.cache_info().hits > 0
+        assert density_module._lengths.cache_info().hits > 0
 
 
 def operand_masks(g):
@@ -1342,6 +1392,56 @@ class TestGeneralizedDensities:
             generalized_path_density(1.5, 1, 0, w)
         with pytest.raises(DomainError):
             generalized_path_density(0, -1, 0, w)
+
+
+def star_density_per_tuple(n, x, w):
+    """generalized_star_density as a loop over the centre tuples, one tuple
+    and n + 2 numpy calls at a time: the reference for its bits."""
+    k = w.block_count
+    total = 0.0
+    for tup in itertools.product(range(k), repeat=n):
+        mu = 1.0
+        prod = np.ones(k)
+        for b in tup:
+            mu *= w.masses[b]
+            prod = prod * w.weights[b]
+        d = float(np.dot(w.masses, prod))
+        total += mu * (1.0 if x == 0 else d**x)
+    return float(total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.one_of(
+        st.just(0),
+        st.integers(min_value=1, max_value=5),
+        st.floats(min_value=0.0, max_value=5.0),
+    ),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_star_density_is_the_per_tuple_loop(k, n, x, zeros, seed):
+    rng = np.random.default_rng(seed)
+    masses = rng.random(k) + 0.05
+    masses /= masses.sum()
+    upper = np.triu(rng.random((k, k)) * (rng.random((k, k)) >= zeros))
+    w = WeightedGraph(masses, upper + np.triu(upper, 1).T)  # zeros == 1: no edge
+    assert generalized_star_density(n, x, w) == star_density_per_tuple(n, x, w)
+
+
+def test_star_density_memory_is_bounded():
+    # 8**6 = 262,144 centre tuples; their weight-row products alone would
+    # take 16.8 MB at once
+    w = sample_weighted_graph("uniform", 8, 7)
+    tracemalloc.start()
+    try:
+        generalized_star_density(6, 1.5, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 class TestCombinatorialIndices:

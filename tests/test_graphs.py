@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,18 @@ class TestSpecLanguage:
         g = _parse_spec.__wrapped__("99xK99")  # uncached: 480,249 edges
         assert time.perf_counter() - start < 10
         assert (g.vertex_count, g.edge_count) == (99 * 99, 99 * 99 * 98 // 2)
+
+    def test_edge_set_is_built_once(self):
+        # the canonical edge set is the only set of the edges a parse holds,
+        # so what it allocates at its peak is about what the graph keeps
+        tracemalloc.start()
+        try:
+            g = _parse_spec.__wrapped__("30xK30")  # uncached: 13,050 edges
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 30 * 435
+        assert peak <= 1.3 * kept, (peak, kept)
 
     def test_edge_file(self, tmp_path):
         f = tmp_path / "g.edges"

@@ -136,6 +136,20 @@ class TestStream:
             numpy_rng, stream = streams(entropy)
             assert stream._next64() == int(numpy_rng.bit_generator.random_raw()), entropy
 
+    def test_entropy_past_the_constant_table(self):
+        # 5 to 8 words mix hashes past the tables kept for entropy of 4 words
+        r = random.Random(4)
+        for words in range(5, 9):
+            for _ in range(100):
+                entropy = [r.getrandbits(32) for _ in range(words)]
+                numpy_rng, stream = streams(entropy)
+                want = [int(x) for x in numpy_rng.bit_generator.random_raw(2)]
+                assert [stream._next64() for _ in range(2)] == want, entropy
+        # and words split from wide ints
+        for entropy in ([2**40 + 5, 2**33, 7], [2**130 - 3, 1], [5, 2**64 + 9, 2**32, 0]):
+            numpy_rng, stream = streams(entropy)
+            assert stream._next64() == int(numpy_rng.bit_generator.random_raw()), entropy
+
     @pytest.mark.parametrize("draw", DRAWS, ids=lambda d: repr(d))
     def test_each_draw_kind(self, draw):
         for entropy in entropy_lists(300, seed=2):
