@@ -264,23 +264,28 @@ def _least_blowup(h, g, bound, candidates, budget):
     best = bound
     tried = 0
 
-    def extend(i, prod, free, top):  # False once the budget is spent
-        nonlocal best, tried
-        if i == n:
-            best = prod
-            return True
-        v = order[i]
-        allowed = everywhere
-        for u in back[i]:
-            allowed = allowed & g_nbrs[image[u]]
-        # the pigeonhole's extra and largest load once v is placed: extra is
-        # one more, and the largest load fresh, when v lands on an unused vertex
-        excess = n - 1 - i - free
-        fresh = top or 1
-        for w in candidates[v]:
+    # depth first on an explicit stack of the nodes above the current one,
+    # each with the candidates it has left
+    stack, rest = [], None
+    prod, free, top = 1, g.vertex_count, 0
+    while True:
+        if rest is None:  # a new node, which places the next vertex
+            i = len(stack)
+            if i == n:
+                best, rest = prod, ()
+            else:
+                v = order[i]
+                allowed = everywhere
+                for u in back[i]:
+                    allowed = allowed & g_nbrs[image[u]]
+                # the pigeonhole's extra once v is placed; one more, and the
+                # largest load at least 1, when v lands on an unused vertex
+                excess = n - 1 - i - free
+                rest = iter(candidates[v])
+        for w in rest:
             tried += 1
             if tried > budget:
-                return False
+                return None
             held = load[w]
             if held:
                 grown = prod // held * (held + 1)
@@ -288,18 +293,20 @@ def _least_blowup(h, g, bound, candidates, budget):
             elif twins[w] and not all(load[t] for t in twins[w]):
                 continue
             else:
-                grown, peak, extra = prod, fresh, excess + 1
+                grown, peak, extra = prod, top or 1, excess + 1
             if grown >= best or w not in allowed or grown * (peak + extra) >= best * peak:
                 continue
             image[v] = w
             load[w] = held + 1
-            done = extend(i + 1, grown, free if held else free - 1, peak)
-            load[w] = held
-            if not done:
-                return False
-        return True
-
-    return best if extend(0, 1, g.vertex_count, 0) and best < bound else None
+            break
+        else:  # the node is done; its parent takes its next candidate
+            if not stack:
+                return best if best < bound else None
+            rest, v, prod, free, top, allowed, excess = stack.pop()
+            load[image[v]] -= 1
+            continue
+        stack.append((rest, v, prod, free, top, allowed, excess))
+        rest, prod, free, top = None, grown, free if held else free - 1, peak
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DiscrepancyError, DomainError, EnumerationCapError
-from .graphs import Graph, parse_count, path
+from .graphs import Graph, is_bipartite, parse_count, path
 
 DEFAULT_ENUM_CAP = 10**8
 # a give-up join this large leaves numpy's greedy path for greedy without its
@@ -777,32 +777,50 @@ def _pow00(base, expo):
 
 
 @functools.lru_cache(maxsize=1024)
-def delta_index(g, i, vertex_cap=20):
-    """max over subsets S of |S| - i*|N(S)| (empty set contributes 0).
-    Cached per graph, like independence_number; errors are not cached."""
+def delta_index(g, i):
+    """max over vertex sets S of |S| - i*|N(S)| (the empty set gives 0),
+    cached per graph.  By max-flow/min-cut (Ore's deficiency form of Hall's
+    theorem) it is n minus the most vertices that can each be given a
+    neighbour, none given to more than i: with S on the source side, a cut of
+    the network source -> v (capacity 1), v -> u' for u in N(v), u' -> sink
+    (capacity i) costs (n - |S|) + i*|N(S)|.  Each vertex in turn gets one
+    breadth-first search for an augmenting path."""
     if i < 1:
         raise DomainError("i must be a positive integer")
-    n = g.vertex_count
-    if n > vertex_cap:
-        raise EnumerationCapError(f"{n} vertices exceed the delta_index cap {vertex_cap}")
     nbrs = g.neighbor_sets()
-    best = 0
-    for mask in range(1 << n):
-        size = 0
-        nb = set()
-        for v in range(n):
-            if mask >> v & 1:
-                size += 1
-                nb |= nbrs[v]
-        best = max(best, size - i * len(nb))
-    return best
+    given = [None] * g.vertex_count  # the neighbour each vertex is given
+    holders = [[] for _ in nbrs]  # the vertices each vertex is given to
+    for root in range(g.vertex_count):
+        parent, queue = {root: None}, [root]
+        for x in queue:
+            u = next((u for u in nbrs[x] if len(holders[u]) < i), None)
+            if u is not None:
+                while x is not None:  # x takes u, and hands its old one on to its parent
+                    holders[u].append(x)
+                    if given[x] is not None:
+                        holders[given[x]].remove(x)
+                    given[x], u, x = u, given[x], parent[x]
+                break
+            for u in nbrs[x]:
+                for y in holders[u]:
+                    if y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+    return given.count(None)
 
 
 @functools.lru_cache(maxsize=1024)
 def independence_number(g, vertex_cap=24):
-    """Size of the largest independent set (branch and bound), cached per
-    graph."""
+    """Size of the largest independent set, cached per graph: the sum over
+    components.  A bipartite component of n vertices has n minus a maximum
+    matching (König), that is (n + delta_1) / 2: delta_index's assignment
+    for i = 1 is a matching of its double cover, two copies of it.  Any
+    other component is searched by branch and bound under vertex_cap."""
+    if len(g.components()) > 1:
+        return sum(independence_number(g.induced(c), vertex_cap) for c in g.components())
     n = g.vertex_count
+    if is_bipartite(g):
+        return (n + delta_index(g, 1)) // 2
     if n > vertex_cap:
         raise EnumerationCapError(f"{n} vertices exceed the independence cap {vertex_cap}")
     nbrs = g.neighbor_sets()

@@ -1,12 +1,15 @@
-"""Independent oracles for densities, homomorphism counts and the blowup
-upper bound.
+"""Independent oracles for densities, homomorphism counts, the blowup
+upper bound, delta_i and the independence number.
 
 Deliberately implemented differently from the library's einsum-based
 contraction: the density oracle materializes the full |blocks|^{|V|} grid
 of vertex assignments with index broadcasting, the log-density oracle sums
 every vertex map's term exactly as a Fraction, and the hom-count oracle
 enumerates vertex maps one by one.  The blowup oracle enumerates every
-vertex map too, where the library prunes a branch and bound search.
+vertex map too, where the library prunes a branch and bound search.  The
+delta_i and independence oracles try every vertex subset, where the library
+finds an augmenting-path assignment (and branches on non-bipartite
+components for the independence number).
 """
 
 import itertools
@@ -69,3 +72,28 @@ def blowup_oracle(g, h):
         if all(adj[phi[u], phi[v]] for u, v in h.edges)
     ]
     return min(products, default=None)
+
+
+def delta_oracle(g, i):
+    """max over all 2^n vertex subsets S of |S| - i*|N(S)|."""
+    n = g.vertex_count
+    nbrs = g.neighbor_sets()
+    best = 0
+    for mask in range(1 << n):
+        size = 0
+        nb = set()
+        for v in range(n):
+            if mask >> v & 1:
+                size += 1
+                nb |= nbrs[v]
+        best = max(best, size - i * len(nb))
+    return best
+
+
+def independence_oracle(g):
+    """Largest vertex subset with no edge inside, over all 2^n subsets."""
+    return max(
+        bin(mask).count("1")
+        for mask in range(1 << g.vertex_count)
+        if not any(mask >> u & 1 and mask >> v & 1 for u, v in g.edges)
+    )

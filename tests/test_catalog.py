@@ -157,6 +157,12 @@ class TestFinitenessAndBounds:
         assert blowup_upper_bound("K3", "C4", budget=0) is None
         assert blowup_upper_bound("K3", "C4") == Fraction(2)
 
+    def test_long_patterns_take_no_recursion(self):
+        # 1501 vertices of H placed one deep on the search's stack: K2 takes
+        # the two sides, 751 and 750; K3 spends a small budget past that depth
+        assert blowup_upper_bound("K2", "P1500") == Fraction(751 * 750)
+        assert blowup_upper_bound("K3", "P1500", budget=10_000) is None
+
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -530,6 +536,12 @@ class TestIsomorphism:
         assert not _isomorphic(a, b) and not _isomorphic(b, a)
         assert not _isomorphic(c40, c20s) and not _isomorphic(c20s, c40)
         assert time.perf_counter() - start < 0.5
+
+    def test_long_relabelled_paths(self):
+        # the map search places all 1500 vertices one deep on its stack
+        a = path(1499)
+        b = a.relabel([(v + 700) % 1500 for v in range(1500)])
+        assert a.edges != b.edges and _isomorphic(a, b)
 
     def test_graphs_full_of_twins(self):
         # a windmill's triangles are swapped by automorphisms, K[3,3]'s sides

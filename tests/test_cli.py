@@ -58,6 +58,22 @@ class TestRho:
         payload = json.loads(err)
         assert payload["code"] == "graph-spec"
 
+    @pytest.mark.parametrize(
+        "g, h, status, lower, upper",
+        [("K[2,2,1]", "P30", "exact", "15/2", "15/2"), ("P30", "S3", "interval", "4/31", "2/15")],
+    )
+    def test_large_bipartite_graphs(self, capsys, g, h, status, lower, upper):
+        # alpha of P30 and delta_i of P30's 31 vertices take no vertex cap
+        code, out, _ = invoke(capsys, "rho", g, h)
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["status"], payload["lower_exact"]) == (status, lower)
+        assert payload["upper_exact"] == upper
+
+    def test_large_odd_cycle_hits_the_independence_cap(self, capsys):
+        # C25 is one non-bipartite component of 25 vertices, searched under the cap
+        assert_input_error(capsys, ("rho", "K3", "C25"), "enumeration-cap")
+
 
 class TestDensity:
     def test_builtin_graphon(self, capsys):

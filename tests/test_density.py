@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import operator
+import random
 import string
 import time
 import tracemalloc
@@ -14,7 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import density_oracle, hom_count_oracle, log_density_oracle
+from oracles import (
+    delta_oracle,
+    density_oracle,
+    hom_count_oracle,
+    independence_oracle,
+    log_density_oracle,
+)
 from rhokit import (
     DiscrepancyError,
     DomainError,
@@ -27,6 +34,7 @@ from rhokit import (
     delta_index,
     density,
     density_gradient,
+    disjoint_union,
     generalized_path_density,
     generalized_star_density,
     hom_count,
@@ -1458,6 +1466,40 @@ class TestCombinatorialIndices:
         assert independence_number(cycle(6)) == 3
         assert independence_number(star(7)) == 7
         assert independence_number(multipartite([4, 3])) == 4
+
+    @staticmethod
+    def assert_match_oracles(g):
+        for i in (1, 2, 3):
+            assert delta_index(g, i) == delta_oracle(g, i), (g, i)
+        assert independence_number(g) == independence_oracle(g), g
+
+    def test_every_graph_up_to_5_vertices(self):
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for keep in itertools.product((False, True), repeat=len(pairs)):
+                self.assert_match_oracles(Graph.from_edges(n, itertools.compress(pairs, keep)))
+
+    def test_random_graphs_of_6_to_13_vertices(self):
+        rng = random.Random(31)
+        for n in [6, 7, 8, 9, 10, 11, 12, 13] * 4:
+            p = rng.random()
+            pairs = itertools.combinations(range(n), 2)
+            self.assert_match_oracles(Graph.from_edges(n, [e for e in pairs if rng.random() < p]))
+
+    def test_long_path_takes_no_recursion(self):
+        g = parse_graph_spec("P5000")  # 5001 vertices, one bipartite component
+        start = time.perf_counter()
+        assert delta_index(g, 1) == 1  # one vertex left out of a perfect matching
+        assert independence_number(g) == 2501
+        assert time.perf_counter() - start < 1
+
+    def test_the_cap_holds_only_non_bipartite_components(self):
+        assert independence_number(parse_graph_spec("P30")) == 16
+        assert independence_number(parse_graph_spec("5xC9")) == 20
+        assert independence_number(Graph.from_edges(60, [])) == 60
+        with pytest.raises(EnumerationCapError, match="25 vertices exceed the independence cap 24"):
+            independence_number(disjoint_union(cycle(25), path(40)))
+        assert independence_number(disjoint_union(cycle(25), path(40)), vertex_cap=25) == 12 + 21
 
 
 @settings(max_examples=30, deadline=None)

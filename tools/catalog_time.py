@@ -11,12 +11,13 @@ that rhokit's modules and Graph hold: each pair's own lookup
 (catalog._rho_stage), the parsed specs
 (graphs._parse_spec), the plan-level caches (density._plan and _replay),
 and each graph's cached facts (neighbour sets, breadth-first search,
-components, recognisers, independence numbers).  Printed as JSON: per grid,
-the best time in milliseconds and the number of calls one more cold run
-makes to each of CALLS.  Where a checkout caches a function, its count is
-the cache's misses, that is the runs of its body: _rho_stage always,
-parse_graph_spec through _parse_spec, and Graph.breadth_first, whose misses
-are the graph traversals.  A name a checkout does not have reads null.
+components, recognisers, independence numbers and delta_i).  Printed as
+JSON: per grid, the best time in milliseconds and the number of calls one
+more cold run makes to each of CALLS.  Where a checkout caches a function,
+its count is the cache's misses, that is the runs of its body: _rho_stage
+always, parse_graph_spec through _parse_spec, and Graph.breadth_first,
+whose misses are the graph traversals.  A name a checkout does not have
+reads null.
 
 Per grid it also prints the brackets: the count of each status, the open
 pairs (interval or unknown), the width (the sum of log2(upper/lower) over
@@ -51,6 +52,7 @@ CALLS = [
     (catalog_module, "_isomorphic"),
     (catalog_module, "_least_blowup"),
     (density_module, "independence_number"),
+    (density_module, "delta_index"),
     (density_module, "hom_count"),
 ]
 
