@@ -18,6 +18,11 @@ reproducible):
 * ``cycle_tail(k, l)``: odd cycle ``0..2k``, tail ``2k+1..2k+l`` hanging
   off vertex ``0``.
 * ``paw``: triangle ``0,1,2`` plus pendant ``3`` attached to ``0``.
+
+A family constructor checks its arguments and normalises them to ints, or
+to a tuple of ints (numpy integers included), then builds its graph once
+per argument set: later calls return the same (immutable) Graph, as
+parse_graph_spec does.  A bad argument raises afresh on every call.
 """
 
 from __future__ import annotations
@@ -180,24 +185,44 @@ class Graph:
 def path(m):
     if m < 1:
         raise DomainError("path needs m >= 1 edges")
+    return _path(operator.index(m))
+
+
+@functools.lru_cache(maxsize=1024)
+def _path(m):
     return Graph.from_edges(m + 1, ((i, i + 1) for i in range(m)))
 
 
 def cycle(m):
     if m < 3:
         raise DomainError("cycle needs m >= 3 edges")
+    return _cycle(operator.index(m))
+
+
+@functools.lru_cache(maxsize=1024)
+def _cycle(m):
     return Graph.from_edges(m, ((i, (i + 1) % m) for i in range(m)))
 
 
 def complete(n):
     if n < 1:
         raise DomainError("complete needs n >= 1 vertices")
+    return _complete(operator.index(n))
+
+
+@functools.lru_cache(maxsize=1024)
+def _complete(n):
     return Graph.from_edges(n, itertools.combinations(range(n), 2))
 
 
 def star(t):
     if t < 1:
         raise DomainError("star needs t >= 1 leaves")
+    return _star(operator.index(t))
+
+
+@functools.lru_cache(maxsize=1024)
+def _star(t):
     return Graph.from_edges(t + 1, ((0, i) for i in range(1, t + 1)))
 
 
@@ -205,10 +230,15 @@ def multipartite(sizes):
     sizes = _integers(sizes, "part sizes {} must be integers")
     if any(s < 0 for s in sizes):
         raise DomainError("part sizes must be nonnegative")
-    sizes = [s for s in sizes if s > 0]
+    sizes = tuple(s for s in sizes if s > 0)
     if not sizes:
         raise DomainError("at least one positive part required")
-    bounds = np.cumsum([0] + sizes)
+    return _multipartite(sizes)
+
+
+@functools.lru_cache(maxsize=1024)
+def _multipartite(sizes):
+    bounds = np.cumsum((0,) + sizes)
     n = int(bounds[-1])
     edges = []
     for i in range(len(sizes)):
@@ -223,11 +253,16 @@ def hub(sizes):
     """K'-graph: central clique of size n = len(sizes); for each i, sizes[i]
     pendant vertices adjacent to the clique minus its i-th vertex."""
     sizes = _integers(sizes, "pendant counts {} must be integers")
-    n = len(sizes)
-    if n < 1:
+    if not sizes:
         raise DomainError("hub needs at least one clique vertex")
     if any(s < 0 for s in sizes):
         raise DomainError("pendant counts must be nonnegative")
+    return _hub(tuple(sizes))
+
+
+@functools.lru_cache(maxsize=1024)
+def _hub(sizes):
+    n = len(sizes)
     edges = list(itertools.combinations(range(n), 2))
     nxt = n
     for i, a in enumerate(sizes):
@@ -245,6 +280,11 @@ def cycle_tail(k, ell):
         raise DomainError("cycle_tail needs k >= 1")
     if ell < 0:
         raise DomainError("cycle_tail needs l >= 0")
+    return _cycle_tail(operator.index(k), operator.index(ell))
+
+
+@functools.lru_cache(maxsize=1024)
+def _cycle_tail(k, ell):
     g = cycle(2 * k + 1)
     edges = set(g.edges)
     prev = 0
@@ -255,6 +295,7 @@ def cycle_tail(k, ell):
     return Graph.from_edges(2 * k + 1 + ell, edges)
 
 
+@functools.cache
 def paw():
     return Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 

@@ -5,6 +5,7 @@ import random
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,95 @@ class TestFamilies:
         for bad in (lambda: path(0), lambda: cycle(2), lambda: complete(0), lambda: star(0)):
             with pytest.raises(DomainError):
                 bad()
+
+
+def _multipartite_reference(sizes):
+    part = [i for i, s in enumerate(sizes) for _ in range(s)]
+    n = len(part)
+    return Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                if part[u] != part[v]])
+
+
+def _hub_reference(sizes):
+    n = len(sizes)
+    edges = list(itertools.combinations(range(n), 2))
+    pendants = [i for i, a in enumerate(sizes) for _ in range(a)]
+    for p, i in enumerate(pendants, start=n):
+        edges += [(j, p) for j in range(n) if j != i]
+    return Graph.from_edges(n + len(pendants), edges)
+
+
+def _cycle_tail_reference(k, ell):
+    m = 2 * k + 1
+    tail = [0] + list(range(m, m + ell))
+    return Graph.from_edges(m + ell, [(i, (i + 1) % m) for i in range(m)] + list(zip(tail, tail[1:])))
+
+
+class TestFamilyCache:
+    """Each family builds its graph once per argument set, like parse_graph_spec."""
+
+    REFERENCES = (
+        [(path, (m,), Graph.from_edges(m + 1, [(i, i + 1) for i in range(m)])) for m in range(1, 7)]
+        + [(cycle, (m,), Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)]))
+           for m in range(3, 8)]
+        + [(complete, (n,), Graph.from_edges(n, itertools.combinations(range(n), 2)))
+           for n in range(1, 6)]
+        + [(star, (t,), Graph.from_edges(t + 1, [(0, i) for i in range(1, t + 1)]))
+           for t in range(1, 6)]
+        + [(multipartite, (a,), _multipartite_reference(a))
+           for a in ([1], [2, 3], [3, 2], [1, 1, 1], [2, 2, 1], [4, 1, 2, 1])]
+        + [(hub, (a,), _hub_reference(a))
+           for a in ([0], [2], [1, 0], [1, 1, 1], [2, 0, 1], [0, 1, 0, 2])]
+        + [(cycle_tail, (k, ell), _cycle_tail_reference(k, ell))
+           for k in (1, 2, 3) for ell in (0, 1, 3)]
+        + [(paw, (), Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)]))]
+    )
+
+    @pytest.mark.parametrize("family,args,reference", REFERENCES)
+    def test_each_family_equals_a_fresh_reference(self, family, args, reference):
+        g = family(*args)
+        assert g == reference
+        assert type(g.vertex_count) is int
+        assert family(*args) is g
+
+    def test_lists_and_tuples_share_a_graph(self):
+        assert multipartite([2, 3]) is multipartite((2, 3))
+        assert multipartite([2, 0, 3]) is multipartite((2, 3))
+        assert hub([1, 0, 2]) is hub((1, 0, 2))
+
+    def test_numpy_integers_share_a_graph(self):
+        assert path(np.int64(3)) is path(3)
+        assert cycle(np.int32(5)) is cycle(5)
+        assert complete(np.uint8(4)) is complete(4)
+        assert star(np.int16(2)) is star(2)
+        assert multipartite(np.array([2, 3])) is multipartite([2, 3])
+        assert hub([np.int64(1), 1]) is hub((1, 1))
+        assert cycle_tail(np.int64(2), np.int8(1)) is cycle_tail(2, 1)
+        assert type(path(np.int64(3)).vertex_count) is int
+
+    @pytest.mark.parametrize(
+        "family,good,bad",
+        [
+            (path, (3,), (3.0,)),
+            (path, (3,), (np.float64(3.0),)),
+            (path, (3,), (Fraction(3),)),
+            (path, (3,), ("3",)),
+            (cycle, (4,), (4.0,)),
+            (complete, (3,), (3.0,)),
+            (star, (2,), (2.0,)),
+            (multipartite, ([2, 3],), ([2.0, 3],)),
+            (hub, ([1, 1],), ([1.0, 1],)),
+            (cycle_tail, (1, 2), (1.0, 2)),
+            (cycle_tail, (1, 2), (1, 2.0)),
+        ],
+    )
+    def test_bad_arguments_raise_after_a_cached_call(self, family, good, bad):
+        with pytest.raises((TypeError, DomainError)) as before:
+            family(*bad)
+        family(*good)
+        with pytest.raises(before.type) as after:
+            family(*bad)
+        assert str(after.value) == str(before.value)
 
 
 class TestSurgery:

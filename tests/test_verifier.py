@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from rhokit import (
     DomainError,
+    EnumerationCapError,
     PROFILES,
     SUITES,
     WeightedGraph,
@@ -22,7 +24,10 @@ from rhokit import (
     run_suite,
     sample_weighted_graph,
 )
-from rhokit.verify import _Stream, _sample
+from rhokit.catalog import rho_exact
+from rhokit.verify import _CATALOG_PAIRS, _Stream, _log_densities, _sample
+
+density_module = importlib.import_module("rhokit.density")
 
 
 class TestSampling:
@@ -308,6 +313,54 @@ class TestSuites:
         together = [r.to_json() for r in run_all_suites(10, seed=3)]
         one_by_one = [run_suite(s, 10, seed=3).to_json() for s in sorted(SUITES)]
         assert together == one_by_one
+
+
+class TestLogDensityMemo:
+    """The suites share each trial graphon's log densities."""
+
+    def test_cold_round_contracts_each_pair_once(self, monkeypatch):
+        for gs, hs in _CATALOG_PAIRS:  # the catalog's own hom counts stay out of the count
+            rho_exact(gs, hs)
+        _sample.cache_clear()
+        _log_densities.cache_clear()
+        trial = {}
+
+        def seen(fn):
+            def suite(rng, w):
+                trial["w"] = w
+                return fn(rng, w)
+
+            return suite
+
+        for name, fn in list(SUITES.items()):
+            monkeypatch.setitem(SUITES, name, seen(fn))
+        contract, calls = density_module._contract, []
+
+        def counted(g, *args, **kwargs):
+            calls.append((g, id(trial["w"])))
+            return contract(g, *args, **kwargs)
+
+        monkeypatch.setattr(density_module, "_contract", counted)
+        run_all_suites(50, 20240)
+        assert len(calls) == len(set(calls)) == 934
+
+    def test_memoized_residual_raises_under_a_lowered_cap(self, monkeypatch):
+        w = sample_weighted_graph("uniform", 3, 8)
+        first = domination_residual("C4", "P2", 1, w)
+        assert domination_residual("C4", "P2", 1, w) == first
+        monkeypatch.setenv("RHOKIT_ENUM_CAP", "1")
+        for _ in range(2):
+            with pytest.raises(EnumerationCapError):
+                domination_residual("C4", "P2", 1, w)
+        monkeypatch.delenv("RHOKIT_ENUM_CAP")
+        assert domination_residual("C4", "P2", 1, w) == first
+
+    def test_cold_and_warm_memo_give_equal_reports(self):
+        _log_densities.cache_clear()
+        cold = [r.to_json() for r in run_all_suites(20, seed=6)]
+        assert _log_densities.cache_info().hits > 0
+        warm = [r.to_json() for r in run_all_suites(20, seed=6)]
+        assert json.dumps(cold) == json.dumps(warm)
 
 
 class TestJunit:

@@ -8,16 +8,18 @@ sets of programs are built: the 104 of perfbench's density_large workload
 complete multipartite graphs of the partitions of 10 into at most 5 parts,
 on 2 and 3 blocks) and the 335 that one cold run_all_suites(50, 20240), the
 verify workload's round, asks _plan for, in the order it first asks.  Each
-set is built 5 times, each time after clearing every plan-level cache (the
+set is built 30 times, each time after clearing every plan-level cache (the
 programs, the per-pattern replays they are filled in from and the step
 caches those share; a cache an older checkout lacks is skipped).  Printed as
-JSON: per set, the best time in milliseconds and the number of greedy-path
-replays one more, untimed, cold build runs: calls of _replay_from, one per
-pattern replayed and one per continuation past greedy's give-up point.
+JSON: per set, the best and the median time in milliseconds (a median far
+above the best marks a busy host) and the number of greedy-path replays one
+more, untimed, cold build runs: calls of _replay_from, one per pattern
+replayed and one per continuation past greedy's give-up point.
 """
 
 import importlib
 import json
+import statistics
 import time
 
 from rhokit import multipartite, parse_graph_spec, run_all_suites
@@ -100,10 +102,10 @@ def cold_replays(programs):
     return len(calls)
 
 
-def best_ms(programs, repeats=5):
-    """(best build time in ms, cold replay count) of programs."""
-    best = min(build(programs) for _ in range(repeats))
-    return best * 1000, cold_replays(programs)
+def build_ms(programs, repeats=30):
+    """(best and median build time in ms, cold replay count) of programs."""
+    times = [build(programs) * 1000 for _ in range(repeats)]
+    return min(times), statistics.median(times), cold_replays(programs)
 
 
 if __name__ == "__main__":
@@ -112,5 +114,7 @@ if __name__ == "__main__":
     report = {}
     sets = (("density_large", DENSITY_LARGE), ("criterion_8", CRITERION_8), ("verify", verify))
     for name, programs in sets:
-        report[f"{name}_ms"], report[f"{name}_replays"] = best_ms(programs)
+        best, median, replays = build_ms(programs)
+        report[f"{name}_ms"], report[f"{name}_median_ms"] = best, median
+        report[f"{name}_replays"] = replays
     print(json.dumps(report))
