@@ -313,20 +313,44 @@ def _least_blowup(h, g, bound, candidates, budget):
 # family dispatch
 
 
+def _refined(colours, nbrs, ids):
+    """Each vertex's next colour: its colour and its neighbours' sorted
+    colours, numbered by ids, which the graphs refined together share."""
+    return [
+        ids.setdefault((c, tuple(sorted(colours[u] for u in s))), len(ids))
+        for c, s in zip(colours, nbrs)
+    ]
+
+
 def _isomorphic(g, h):
     if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
         return False
     if g.edges == h.edges:
         return True
-    g_deg, h_deg = g.degrees(), h.degrees()
-    if sorted(g_deg) != sorted(h_deg):
+    g_colours, h_colours = g.degrees(), h.degrees()
+    if sorted(g_colours) != sorted(h_colours):
         return False
-    # an isomorphism keeps degrees, and with equal vertex and edge counts an
-    # injective homomorphism (product 1) is an isomorphism
+    # colour refinement of both graphs together: a vertex's next colour is
+    # its colour and the multiset of its neighbours' colours, until no class
+    # splits.  An isomorphism keeps colours, so two graphs whose colour
+    # counts differ are not isomorphic.  Twins always share a colour, so each
+    # class is closed under twins, as _least_blowup's twin rule needs.
+    g_nbrs, h_nbrs = g.neighbor_sets(), h.neighbor_sets()
+    count = len(set(g_colours))
+    while True:
+        ids = {}
+        g_next, h_next = _refined(g_colours, g_nbrs, ids), _refined(h_colours, h_nbrs, ids)
+        if sorted(g_next) != sorted(h_next):
+            return False
+        if len(ids) == count:
+            break
+        g_colours, h_colours, count = g_next, h_next, len(ids)
+    # with equal vertex and edge counts an injective homomorphism (product 1)
+    # is an isomorphism
     classes = {}
-    for w, d in enumerate(h_deg):
-        classes.setdefault(d, []).append(w)
-    return _least_blowup(g, h, 2, [classes[d] for d in g_deg], math.inf) is not None
+    for w, c in enumerate(h_colours):
+        classes.setdefault(c, []).append(w)
+    return _least_blowup(g, h, 2, [classes[c] for c in g_colours], math.inf) is not None
 
 
 def _exact(value, *tags):

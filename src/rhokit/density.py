@@ -15,7 +15,7 @@ caches sit below the programs: a pairwise step's fields apart from its
 operand positions, on its index strings and k (_pair_fields), and the
 lengths k**e a program fills in for a shape's exponents (_lengths).  Both
 hold pure functions of their keys, so a program built from cold caches is
-the one built from warm ones (tools/plan_build.py times cold builds).
+the one built from warm ones (tools/layers.py plan times cold builds).
 A step joining two operands runs the way numpy's bmm_einsum runs it:
 a one-operand einsum and a reshape on each side where needed, np.matmul
 or np.multiply, then a reshape and transpose.  Any other step is one
@@ -41,7 +41,7 @@ program runs the cached replay up to that join, and from the operands the
 join takes goes on at the block count itself, by greedy without its size
 limit (opt_einsum's default; Smith & Gray 2018).  If that path's largest
 intermediate and any give-up join it has stay under 2**15 entries, the
-program runs it (tools/slice_threshold.py times the three programs).
+program runs it (tools/layers.py slice times the three programs).
 Otherwise the program slices one vertex instead (as in tensor-network
 slicing, Gray & Kourtis 2021), to bound memory: its one step runs the rest
 of the pattern, one program per connected component, each chosen by the

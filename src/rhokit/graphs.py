@@ -600,7 +600,8 @@ class WeightedGraph:
 
     def __init__(self, masses, weights):
         masses = np.asarray(masses, dtype=float).copy()
-        weights = np.asarray(weights, dtype=float).copy()
+        # adding 0.0 copies and turns -0.0 into 0.0, so equal graphons hash alike
+        weights = np.asarray(weights, dtype=float) + 0.0
         if masses.ndim != 1 or masses.size < 1:
             raise DomainError("masses must be a nonempty vector")
         k = masses.size

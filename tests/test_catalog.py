@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -45,10 +46,10 @@ def cold_catalog():
     _rho_stage.cache_clear()
 
 
-def catalog_time():
-    """tools/catalog_time.py as a module; its timing runs only as a script."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "catalog_time.py"
-    spec = importlib.util.spec_from_file_location("catalog_time", path)
+def layers():
+    """tools/layers.py as a module; its timing runs only as a script."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "layers.py"
+    spec = importlib.util.spec_from_file_location("layers", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -451,14 +452,14 @@ COLD_PASS_SEARCHES = {GRID_SPECS: (190, 70, 15), GRID_26_SPECS: (676, 269, 26)}
 
 @pytest.mark.parametrize("specs,hom_pairs", [(GRID_SPECS, 19), (GRID_26_SPECS, 90)])
 def test_cold_pass_does_each_piece_once(specs, hom_pairs, monkeypatch):
-    # a cold pass as tools/catalog_time.py times it: each pair's own lookup,
-    # read by its top-level lookup and by composition scans alike, runs one
-    # blowup search, one finiteness test and one isomorphism test, and each
-    # spec string is parsed once.  _least_blowup runs for each blowup search
-    # and for each isomorphism test that gets as far as a map search, and
-    # each graph is walked once.
-    tool = catalog_time()
-    assert {_rho_stage, _parse_spec} <= set(tool.CACHES)
+    # a cold pass as tools/layers.py's catalog section times it: each pair's
+    # own lookup, read by its top-level lookup and by composition scans
+    # alike, runs one blowup search, one finiteness test and one isomorphism
+    # test, and each spec string is parsed once.  _least_blowup runs for each
+    # blowup search and for each isomorphism test that gets as far as a map
+    # search, and each graph is walked once.
+    tool = layers()
+    assert {_rho_stage, _parse_spec} <= set(tool.caches())
     searched, counted = Counter(), Counter()
     blowup, hom = catalog_module.blowup_upper_bound, catalog_module.hom_count
 
@@ -480,6 +481,15 @@ def test_cold_pass_does_each_piece_once(specs, hom_pairs, monkeypatch):
     assert counted and set(counted.values()) == {1}
     assert len(counted) == hom_pairs
     assert _parse_spec.cache_info().misses == len(specs)
+
+
+def test_harness_finds_every_cache():
+    # the caches a cold pass clears are found, not named: as many as there
+    # are functools cache decorators in rhokit's source
+    source = Path(catalog_module.__file__).parent
+    pattern = re.compile(r"^\s*@functools\.(lru_cache|cache)\b", re.MULTILINE)
+    decorators = sum(len(pattern.findall(p.read_text())) for p in source.glob("*.py"))
+    assert decorators > 0 and len(layers().caches()) == decorators
 
 
 CUBIC_16_A = [
@@ -542,6 +552,17 @@ class TestIsomorphism:
         a = path(1499)
         b = a.relabel([(v + 700) % 1500 for v in range(1500)])
         assert a.edges != b.edges and _isomorphic(a, b)
+
+    def test_paths_labelled_from_the_middle(self):
+        # degrees put every inner vertex in one class, so a map search from
+        # the middle vertex refuted each wrong image only deep down; colour
+        # refinement leaves classes of two, the vertices at equal distance
+        # from the ends
+        a = path(599)
+        b = a.relabel([(v + 300) % 600 for v in range(600)])
+        start = time.perf_counter()
+        assert _isomorphic(b, a) and _isomorphic(a, b)
+        assert time.perf_counter() - start < 5
 
     def test_graphs_full_of_twins(self):
         # a windmill's triangles are swapped by automorphisms, K[3,3]'s sides

@@ -776,7 +776,7 @@ class TestUnlimited:
         assert continued_path(g, k) == unlimited_reference(operand_masks(g), k)
 
     def test_programs_are_the_reference_ones(self):
-        # criterion 8's 60 programs and the 42 cases tools/slice_threshold.py
+        # criterion 8's 60 programs and the 42 cases tools/layers.py slice
         # times, 47 of which go on past the give-up point
         cases = [(multipartite(p), k) for p in _partitions(10, 5) for k in (2, 3)]
         for spec in ("K4", "K[2,2,2]", "K[3,4]", "K[4,4]"):

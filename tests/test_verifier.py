@@ -355,6 +355,16 @@ class TestLogDensityMemo:
         monkeypatch.delenv("RHOKIT_ENUM_CAP")
         assert domination_residual("C4", "P2", 1, w) == first
 
+    def test_signed_zero_weights_share_one_entry(self):
+        # -0.0 == 0.0, so the two graphons are equal and must hash alike
+        masses = [0.5, 0.5]
+        w = WeightedGraph(masses, [[0.0, 0.5], [0.5, 1.0]])
+        w_neg = WeightedGraph(masses, [[-0.0, 0.5], [0.5, 1.0]])
+        assert w == w_neg and hash(w) == hash(w_neg) and len({w, w_neg}) == 1
+        _log_densities.cache_clear()
+        assert domination_residual("P2", "P2", 1, w) == domination_residual("P2", "P2", 1, w_neg)
+        assert _log_densities.cache_info().currsize == 1
+
     def test_cold_and_warm_memo_give_equal_reports(self):
         _log_densities.cache_clear()
         cold = [r.to_json() for r in run_all_suites(20, seed=6)]
